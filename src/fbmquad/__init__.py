@@ -7,7 +7,7 @@ Gaussian fluctuation law, and seeded Monte Carlo experiments that verify the
 theory at desk scale.
 """
 
-from .constants import KappaResult, beta, beta_terms, kappa
+from .constants import KappaResult, beta, beta_squared, beta_terms, kappa
 from .covariance import (
     GRAM_CAP_DEFAULT,
     HurstGrid,
@@ -109,6 +109,7 @@ __all__ = [
     "parse_test_function",
     "kappa",
     "beta",
+    "beta_squared",
     "beta_terms",
     "summarize",
     "ks_test_normal",

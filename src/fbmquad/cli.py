@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .constants import beta_terms
+from .constants import beta_squared, beta_terms
 from .covariance import HurstGrid, floor_index
 from .experiments import (
     DEFAULT_MASTER_SEED,
@@ -137,7 +137,7 @@ def _experiment_flags(p: argparse.ArgumentParser, name: str) -> None:
 
 def _cmd_constants(args) -> int:
     k5, k3 = beta_terms(args.H, args.tol)
-    beta_sq = 120.0 / 32.0 * k5.value + 75.0 * k3.value
+    beta_sq = beta_squared(k5, k3)
     if beta_sq <= 0.0:
         raise ValueError(f"variance constant came out nonpositive: {beta_sq}")
     payload = {

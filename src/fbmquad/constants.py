@@ -70,13 +70,17 @@ def kappa(m: int, H: float, tol: float = 1e-10) -> KappaResult:
 
 def beta(H: float = 0.1, tol: float = 1e-10) -> float:
     """Standard-deviation constant sqrt(5! 2^{-5} kappa_5 + 75 kappa_3)."""
-    k5, k3 = beta_terms(H, tol)
-    radicand = 120.0 / 32.0 * k5.value + 75.0 * k3.value
+    radicand = beta_squared(*beta_terms(H, tol))
     if radicand <= 0.0:
         # The radicand is a limit variance, hence nonnegative; reaching this
         # line means a computation defect, not a value to clamp.
         raise ArithmeticError(f"variance constant came out nonpositive: {radicand}")
     return math.sqrt(radicand)
+
+
+def beta_squared(k5: KappaResult, k3: KappaResult) -> float:
+    """The limit variance constant beta^2 = 5! 2^{-5} kappa_5 + 75 kappa_3."""
+    return 120.0 / 32.0 * k5.value + 75.0 * k3.value
 
 
 def beta_terms(H: float, tol: float = 1e-10) -> tuple[KappaResult, KappaResult]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import beta_terms
+from .constants import beta_squared, beta_terms
 from .covariance import HurstGrid, cov, floor_index, rho
 from .hermite import power_to_hermite
 from .pathgen import GeneratorKind, generate_batch, replication_seeds
@@ -310,7 +310,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
     started = time.perf_counter()
     k5, k3 = beta_terms(config.H, config.constants_tol)
-    beta_sq = 120.0 / 32.0 * k5.value + 75.0 * k3.value
+    beta_sq = beta_squared(k5, k3)
     f5 = config.f.derivative(5)
     constant_f5 = f5.degree == 0 if isinstance(f5, Polynomial) else False
     c = float(f5.coeffs[0]) if constant_f5 and f5.coeffs else (0.0 if constant_f5 else None)
@@ -546,6 +546,5 @@ def _plateau_level(config: ExperimentConfig) -> float:
     if not (isinstance(f5, Polynomial) and f5.degree == 0):
         raise ValueError("the critical divergence probe needs constant f^(5)")
     c = float(f5.coeffs[0]) if f5.coeffs else 0.0
-    k5, k3 = beta_terms(config.H, config.constants_tol)
-    beta_sq = 120.0 / 32.0 * k5.value + 75.0 * k3.value
+    beta_sq = beta_squared(*beta_terms(config.H, config.constants_tol))
     return c * c * beta_sq * config.t / 2880.0**2

@@ -7,9 +7,18 @@ Two generators, both exact in law:
 - ``CIRCULANT_EMBEDDING``: the stationary increment sequence is embedded into
   a circulant covariance diagonalized by the FFT (O(m log m)), then summed.
 
-Randomness comes from counter-based Philox streams keyed by a 64-bit seed, so
-a path is a pure function of (grid, kind, seed) and replications of an
-experiment can be generated in any order or thread count.
+Randomness comes from counter-based Philox streams: the path for seed ``s``
+draws its normals from ``Generator(Philox(SeedSequence(s)))``, so a path is a
+pure function of (grid, kind, seed) and replications of an experiment can be
+generated in any order or thread count.
+
+The stream layer reproduces numpy's seeding bit for bit without running it
+per path.  ``SeedSequence.generate_state`` has a closed form for each output
+word, so a window of replication seeds costs O(stop - start) wherever it sits
+in the master expansion.  A Philox stream is a function of its key and
+counter alone (Salmon et al., SC'11), so the keys of a whole batch are derived
+at once with the same hash arithmetic, and one bit generator per batch is
+re-keyed for each row.
 """
 
 from __future__ import annotations
@@ -24,8 +33,22 @@ import numpy as np
 from .covariance import GRAM_CAP_DEFAULT, HurstGrid, fgn_autocov, increment_gram
 
 #: Embedding eigenvalues in [EIGENVALUE_TOL, 0) are clamped to zero; anything
-#: below triggers the Cholesky fallback.
+#: below makes circulant generation raise ValueError.
 EIGENVALUE_TOL = -1e-9
+
+#: Seeds accepted by the samplers: entropy of at most four 32-bit words, which
+#: the vectorized key derivation reproduces exactly.
+SEED_LIMIT = 2**128
+
+# numpy.random.SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
 
 
 class GeneratorKind(Enum):
@@ -65,15 +88,16 @@ def replication_seed(master_seed: int, stream_index: int) -> int:
 def replication_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """Sub-seeds for streams start..stop-1, sliced from the master expansion.
 
-    The expansion is prefix-stable, so a stream's seed does not depend on how
-    many other streams an experiment uses.
+    Equals ``SeedSequence(master_seed).generate_state(stop, np.uint64)[start:stop]``
+    and costs O(stop - start).  The expansion is prefix-stable, so a stream's
+    seed does not depend on how many other streams an experiment uses.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start}..{stop}")
-    if stop == 0:
-        return np.empty(0, dtype=np.uint64)
-    words = _seed_words(int(master_seed), 1 << max(6, (stop - 1).bit_length()))
-    return words[start:stop].copy()
+    pool = np.random.SeedSequence(int(master_seed)).pool
+    index = np.arange(2 * start, 2 * stop)
+    h = _hash_constants(_INIT_B, _MULT_B, 2 * start, 2 * (stop - start))
+    return _hashmix(pool[index % _POOL_SIZE], h).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def generate(grid: HurstGrid, kind: GeneratorKind, seed: int) -> FbmPath:
@@ -86,10 +110,13 @@ def generate_batch(grid: HurstGrid, kind: GeneratorKind, seeds) -> np.ndarray:
     """Sample one trajectory per seed; row i equals generate(grid, kind, seeds[i]).
 
     Each row consumes its own Philox stream, so the batch decomposition has no
-    effect on the values.  Returns an array of shape (len(seeds), floor(nT)+1).
+    effect on the values.  Seeds must lie in [0, 2**128).  Returns an array of
+    shape (len(seeds), floor(nT)+1).
     """
-    seeds = [int(s) for s in np.atleast_1d(seeds)]
-    kind = _resolve_kind(grid, kind)
+    seeds = [int(s) for s in np.atleast_1d(seeds).tolist()]
+    bad = [s for s in seeds if not 0 <= s < SEED_LIMIT]
+    if bad:
+        raise ValueError(f"seeds must lie in [0, 2**128), got {bad[0]}")
     if kind is GeneratorKind.CIRCULANT_EMBEDDING:
         fgn = _circulant_fgn(grid, seeds)
     else:
@@ -104,8 +131,8 @@ def circulant_eigenvalues(grid: HurstGrid) -> np.ndarray:
     """Eigenvalues of the circulant embedding of the increment autocovariance.
 
     Nonnegative in exact arithmetic for fractional Gaussian noise; the
-    generator clamps values within EIGENVALUE_TOL of zero and falls back to
-    Cholesky below that.
+    generator clamps values within EIGENVALUE_TOL of zero and raises
+    ValueError below that.
     """
     m = grid.num_increments
     gamma = fgn_autocov(grid, m)
@@ -126,34 +153,78 @@ def write_path_csv(path: FbmPath, stream=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """Hash multipliers h_i = init * mult**i mod 2**32 for i = first..first+count."""
+    h = np.full(count + 1, mult, dtype=np.uint32)
+    h[0] = init * pow(mult, first, 2**32) % 2**32
+    return np.cumprod(h, dtype=np.uint32)
 
 
-@lru_cache(maxsize=32)
-def _seed_words(master_seed: int, size: int) -> np.ndarray:
-    words = np.random.SeedSequence(master_seed).generate_state(size, dtype=np.uint64)
-    words.setflags(write=False)
-    return words
+def _hashmix(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix along the last axis: w_i = (v_i ^ h_i) * h_{i+1}, w ^= w >> 16."""
+    words = (values ^ h[:-1]) * h[1:]
+    return words ^ (words >> _XSHIFT)
 
 
-def _resolve_kind(grid: HurstGrid, kind: GeneratorKind) -> GeneratorKind:
-    if kind is GeneratorKind.CIRCULANT_EMBEDDING and _sqrt_eigenvalues(grid) is None:
-        kind = GeneratorKind.CHOLESKY_EXACT
-    if kind is GeneratorKind.CHOLESKY_EXACT and grid.num_increments > GRAM_CAP_DEFAULT:
-        raise ValueError(
-            f"Cholesky generation needs floor(nT) <= {GRAM_CAP_DEFAULT}, "
-            f"got {grid.num_increments}"
-        )
-    return kind
+#: Multipliers of the 4 + 12 hashmix calls in ``SeedSequence.mix_entropy``.
+_ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, 0, 16)
+#: Multipliers of the 4 words of ``generate_state(2, np.uint64)``, a Philox key.
+_KEY_HASH = _hash_constants(_INIT_B, _MULT_B, 0, _POOL_SIZE)
+
+
+def _philox_keys(seeds: list[int]) -> np.ndarray:
+    """Key of ``Philox(SeedSequence(s))`` for each seed s in [0, 2**128), shape (N, 2).
+
+    Replays ``SeedSequence.mix_entropy`` and ``generate_state`` on all seeds at
+    once.  The multiplier sequence does not depend on the data, and an entropy
+    word past the end of a short seed hashes like a zero word, so every seed
+    is padded to the four words of the pool.  Within one source word the
+    three mixes into the other pool words are independent, so they run as one
+    array operation.
+    """
+    entropy = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds), dtype="<u4")
+    pool = _hashmix(entropy.reshape(-1, _POOL_SIZE), _ENTROPY_HASH[:5])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[:, src, None], _ENTROPY_HASH[k : k + 4])
+        mixed = _MIX_MULT_L * pool[:, dst] - _MIX_MULT_R * hashed
+        pool[:, dst] = mixed ^ (mixed >> _XSHIFT)
+        k += 3
+    return _hashmix(pool, _KEY_HASH).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _row_normals(seeds: list[int], size: int):
+    """Yield ``size`` standard normals from each seed's Philox stream, in order.
+
+    One bit generator serves the whole batch: for each row it is reset to
+    that seed's key with a zero counter and an empty buffer, which is exactly
+    the state of a freshly seeded ``Philox(SeedSequence(seed))``.
+    """
+    bit_generator = np.random.Philox(0)
+    normals = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in _philox_keys(seeds):
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield normals.standard_normal(size)
 
 
 @lru_cache(maxsize=8)
-def _sqrt_eigenvalues(grid: HurstGrid):
-    """sqrt of clamped embedding eigenvalues, or None when the embedding fails."""
+def _sqrt_eigenvalues(grid: HurstGrid) -> np.ndarray:
+    """sqrt of the embedding eigenvalues, after clamping those in [EIGENVALUE_TOL, 0)."""
     lam = circulant_eigenvalues(grid)
     if lam.min() < EIGENVALUE_TOL:
-        return None
+        raise ValueError(
+            f"circulant embedding of H={grid.H}, n={grid.n} is not nonnegative definite: "
+            f"minimum eigenvalue {float(lam.min())!r} < {EIGENVALUE_TOL}"
+        )
     sq = np.sqrt(np.clip(lam, 0.0, None))
     sq.setflags(write=False)
     return sq
@@ -168,10 +239,12 @@ def _cholesky_factor(grid: HurstGrid) -> np.ndarray:
 
 def _cholesky_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
     m = grid.num_increments
+    if m > GRAM_CAP_DEFAULT:
+        raise ValueError(f"Cholesky generation needs floor(nT) <= {GRAM_CAP_DEFAULT}, got {m}")
     factor = _cholesky_factor(grid)
     fgn = np.empty((len(seeds), m))
-    for i, seed in enumerate(seeds):
-        fgn[i] = factor @ _stream(seed).standard_normal(m)
+    for i, z in enumerate(_row_normals(seeds, m)):
+        fgn[i] = factor @ z
     return fgn
 
 
@@ -181,8 +254,7 @@ def _circulant_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
     two_m = 2 * m
     spectral = np.empty((len(seeds), two_m), dtype=np.complex128)
     half = sq[1:m] / np.sqrt(2.0)
-    for i, seed in enumerate(seeds):
-        z = _stream(seed).standard_normal(two_m)
+    for i, z in enumerate(_row_normals(seeds, two_m)):
         spectral[i, 0] = sq[0] * z[0]
         spectral[i, m] = sq[m] * z[1]
         interior = half * (z[2:two_m:2] + 1j * z[3:two_m:2])

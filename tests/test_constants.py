@@ -9,6 +9,8 @@ from fbmquad import (
     GeneratorKind,
     HurstGrid,
     beta,
+    beta_squared,
+    beta_terms,
     generate_batch,
     hermite_eval,
     kappa,
@@ -102,6 +104,11 @@ class TestBeta:
     def test_critical_value(self):
         expected = math.sqrt(120.0 / 32.0 * KAPPA5_BRUTE + 75.0 * KAPPA3_BRUTE)
         assert beta(0.1, 1e-10) == pytest.approx(expected, abs=1e-9)
+
+    def test_beta_squared_at_brownian_point(self):
+        # kappa_m(1/2) = 2^m exactly: 3.75 * 32 + 75 * 8 = 720
+        assert beta_squared(*beta_terms(0.5)) == 720.0
+        assert beta(0.1) == math.sqrt(beta_squared(*beta_terms(0.1)))
 
     def test_stability_under_tolerance_tightening(self):
         assert abs(beta(0.1, 1e-8) - beta(0.1, 1e-12)) < 1e-6

@@ -1,0 +1,136 @@
+"""Golden bytes: pinned SHA-256 digests of reports, CSVs and sampled paths.
+
+The digests were recorded before the stream layer was rewritten (closed-form
+seed windows, vectorized Philox keys, one re-keyed bit generator per batch).
+They pin every output bit, so any change to how seeds, streams or paths are
+produced shows up here.  A digest may only change together with a CHANGES.md
+entry that says which outputs moved and why.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fbmquad import (
+    ExperimentConfig,
+    GeneratorKind,
+    HurstGrid,
+    Polynomial,
+    SchemeKind,
+    generate,
+    generate_batch,
+    replication_seeds,
+    run_clt_experiment,
+    run_divergence_probe,
+    run_rate_experiment,
+)
+
+CIRC = GeneratorKind.CIRCULANT_EMBEDDING
+CHOL = GeneratorKind.CHOLESKY_EXACT
+QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
+
+#: Small versions of acceptance criteria 4 (clt), 5 (rate) and 6 (divergence),
+#: each with the digest of its JSON report and CSV at M = 300, seed 12.
+REPORTS = {
+    "clt-H0.1": (
+        run_clt_experiment,
+        dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
+        "751558c32bd624cdde905039c3823626b20c178b4f502a12128847a6eda84e96",
+    ),
+    "rate-simpson-H0.2": (
+        run_rate_experiment,
+        dict(H=0.2, n_values=(32, 64, 128, 256), f=QUINTIC),
+        "be2e9fe9861b749675d3e5232a0059e2c0c649ea5947d2d29d3a6837246062c2",
+    ),
+    "rate-milne-H0.15": (
+        run_rate_experiment,
+        dict(
+            H=0.15,
+            n_values=(64, 128, 256),
+            scheme=SchemeKind.MILNE,
+            f=Polynomial([0] * 7 + [Fraction(1, 5040)]),
+        ),
+        "4d984c219d9aa6fe67f8c0310759c1d8245a741c2a4bd3d74abcce0b9d3e5f13",
+    ),
+    "diverge-H0.05": (
+        run_divergence_probe,
+        dict(H=0.05, n_values=(64, 128, 256), f=QUINTIC),
+        "7e1a047f45ed9177268b345e0ad4ed3f394ad91f48ef38bb65301c71c45d25a8",
+    ),
+    "diverge-H0.1": (
+        run_divergence_probe,
+        dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
+        "735c0c8371fc873a8a403c223c8b46d70ae87158f2149fee1410b5f19119b667",
+    ),
+    "diverge-H0.2": (
+        run_divergence_probe,
+        dict(H=0.2, n_values=(64, 128, 256), f=QUINTIC),
+        "deda59c7a681728b8ed88c54197a475154a50f0c746330f0c9ec3fd720fc787b",
+    ),
+}
+
+#: Seed window far from the start of the master expansion, as the benchmark uses.
+FAR = (10**7, 10**7 + 500)
+
+ARRAYS = {
+    "seeds-far": "1a6df5229e62d6628a1bc176d2d567d19ae63687b8c60623a78036023842a004",
+    "cholesky-far": "47f190dc432a81c65fa5a4f8b518e56c67ea2da7f7b5db7415bcbe3fac0a4d7b",
+    "circulant-far": "73389bb2313d556ce7b27dde7ed317691ae6000fdf7287ba3cae9322534ce655",
+    "circulant-seed42": "45cdbb5d2400e6e6d6474400c70fa8d6b999e7e32064b8391bfb4a348c68ef1a",
+    "cholesky-seed2^100": "ab70f38a0198c31539a3b2a95d61575d55d7559004fb4bf13286a61afe3f8c36",
+}
+
+
+def _digest(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def report_digest(name: str, threads: int) -> str:
+    runner, kwargs, _ = REPORTS[name]
+    config = ExperimentConfig(**kwargs, replications=300, master_seed=12, threads=threads)
+    report = runner(config)
+    return _digest(report.to_json().encode(), report.csv_text().encode())
+
+
+def _array_bytes(values: np.ndarray) -> bytes:
+    dtype = "<u8" if values.dtype.kind == "u" else "<f8"
+    return f"{values.shape}".encode() + np.ascontiguousarray(values, dtype=dtype).tobytes()
+
+
+def array_digest(name: str) -> str:
+    grid = HurstGrid(0.1, 64)
+    if name == "seeds-far":
+        values = replication_seeds(12, *FAR)
+    elif name == "cholesky-far":
+        values = generate_batch(grid, CHOL, replication_seeds(12, *FAR))
+    elif name == "circulant-far":
+        values = generate_batch(grid, CIRC, replication_seeds(12, *FAR))
+    elif name == "circulant-seed42":
+        values = generate(HurstGrid(0.1, 256), CIRC, 42).values
+    else:
+        values = generate(HurstGrid(0.3, 100, T=0.75), CHOL, 2**100 + 7).values
+    return _digest(_array_bytes(values))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes(name, threads):
+    assert report_digest(name, threads) == REPORTS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_array_bytes(name):
+    assert array_digest(name) == ARRAYS[name]
+
+
+if __name__ == "__main__":  # print the current digests: python tests/test_golden.py
+    for name in sorted(REPORTS):
+        print(name, report_digest(name, 1), report_digest(name, 2))
+    for name in sorted(ARRAYS):
+        print(name, array_digest(name))

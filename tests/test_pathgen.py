@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from fbmquad import pathgen
 from fbmquad import (
     EIGENVALUE_TOL,
     FbmPath,
@@ -24,6 +27,12 @@ from fbmquad import (
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 CHOL = GeneratorKind.CHOLESKY_EXACT
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """Reference stream: the generator a path with this seed must draw from."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
 
 # ---------------------------------------------------------------------------
 # path container
@@ -107,6 +116,58 @@ class TestReproducibility:
 
 
 # ---------------------------------------------------------------------------
+# stream layer against numpy's own seeding
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(min_value=0, max_value=pathgen.SEED_LIMIT - 1)
+
+
+class TestStreamLayer:
+    @settings(deadline=None)
+    @given(
+        master=st.integers(min_value=0, max_value=2**200),
+        start=st.integers(min_value=0, max_value=3000),
+        length=st.integers(min_value=0, max_value=600),
+    )
+    def test_window_equals_generate_state(self, master, start, length):
+        stop = start + length
+        expected = np.random.SeedSequence(master).generate_state(stop, np.uint64)[start:stop]
+        window = replication_seeds(master, start, stop)
+        assert window.dtype == np.uint64
+        assert np.array_equal(window, expected)
+
+    @settings(deadline=None)
+    @given(seeds=st.lists(SEEDS, max_size=20))
+    def test_keys_equal_seeded_philox(self, seeds):
+        keys = pathgen._philox_keys(seeds)
+        assert keys.shape == (len(seeds), 2)
+        for seed, key in zip(seeds, keys):
+            expected = np.random.Philox(np.random.SeedSequence(seed)).state["state"]["key"]
+            assert np.array_equal(key, expected)
+
+    @settings(deadline=None)
+    @given(seeds=st.lists(SEEDS, max_size=8), size=st.integers(min_value=0, max_value=300))
+    def test_reset_generator_equals_fresh_streams(self, seeds, size):
+        rows = list(pathgen._row_normals(seeds, size))
+        assert len(rows) == len(seeds)
+        for seed, row in zip(seeds, rows):
+            assert np.array_equal(row, _stream(seed).standard_normal(size))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+            generate(HurstGrid(0.1, 16), CIRC, seed)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+            generate_batch(HurstGrid(0.1, 16), CHOL, [1, seed, 2])
+
+    def test_seed_range_edges_accepted(self):
+        grid = HurstGrid(0.1, 16)
+        batch = generate_batch(grid, CIRC, [0, 2**128 - 1])
+        assert batch.shape == (2, 17)
+        assert not np.array_equal(batch[0], batch[1])
+
+
+# ---------------------------------------------------------------------------
 # distributional correctness
 # ---------------------------------------------------------------------------
 
@@ -187,6 +248,30 @@ class TestEmbedding:
         back = np.fft.ifft(lam).real
         gamma = fgn_autocov(grid, m)
         assert np.allclose(back[: m + 1], gamma, rtol=1e-10, atol=1e-15)
+
+    def test_failed_embedding_raises(self, monkeypatch):
+        # a negative spectrum must stop the circulant sampler, not reroute it
+        grid = HurstGrid(0.3, 24)
+        lam = circulant_eigenvalues(grid)
+        lam[5] = -1e-3
+        monkeypatch.setattr(pathgen, "circulant_eigenvalues", lambda g: lam)
+        pathgen._sqrt_eigenvalues.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=r"minimum eigenvalue -0\.001"):
+                generate(grid, CIRC, 1)
+        finally:
+            pathgen._sqrt_eigenvalues.cache_clear()
+
+    def test_clamped_eigenvalues_within_tolerance(self, monkeypatch):
+        grid = HurstGrid(0.3, 24)
+        lam = circulant_eigenvalues(grid)
+        lam[5] = EIGENVALUE_TOL / 2
+        monkeypatch.setattr(pathgen, "circulant_eigenvalues", lambda g: lam)
+        pathgen._sqrt_eigenvalues.cache_clear()
+        try:
+            assert pathgen._sqrt_eigenvalues(grid)[5] == 0.0
+        finally:
+            pathgen._sqrt_eigenvalues.cache_clear()
 
     def test_cholesky_cap(self):
         grid = HurstGrid(0.3, 8192)
