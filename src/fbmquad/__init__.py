@@ -11,13 +11,9 @@ from .constants import KappaResult, beta, beta_squared, beta_terms, kappa
 from .covariance import (
     GRAM_CAP_DEFAULT,
     HurstGrid,
-    abs_power_sum,
     cov,
     fgn_autocov,
-    increment_cov,
     increment_gram,
-    increment_level_cov,
-    increment_midpoint_cov,
     rho,
 )
 from .experiments import (
@@ -39,7 +35,6 @@ from .pathgen import (
     circulant_eigenvalues,
     generate,
     generate_batch,
-    replication_seed,
     replication_seeds,
     write_path_csv,
 )
@@ -88,15 +83,10 @@ __all__ = [
     "ExperimentReport",
     "rho",
     "cov",
-    "increment_cov",
-    "increment_level_cov",
-    "increment_midpoint_cov",
-    "abs_power_sum",
     "increment_gram",
     "fgn_autocov",
     "generate",
     "generate_batch",
-    "replication_seed",
     "replication_seeds",
     "circulant_eigenvalues",
     "write_path_csv",

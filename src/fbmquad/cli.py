@@ -13,28 +13,22 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from .constants import beta_squared, beta_terms
 from .covariance import HurstGrid, floor_index
 from .experiments import (
+    CONFIG_KEYS,
     DEFAULT_MASTER_SEED,
     ExperimentConfig,
     ExperimentReport,
     canonical_json,
+    exact_identity_checks,
+    read_config,
     run_clt_experiment,
     run_divergence_probe,
     run_rate_experiment,
 )
-from .hermite import SUPPORTED_POWERS, hermite_eval, power_to_hermite
 from .pathgen import FbmPath, GeneratorKind, generate, write_path_csv
-from .schemes import (
-    Polynomial,
-    SchemeKind,
-    parse_test_function,
-    riemann_sum,
-    simpson_error_decomposition,
-)
+from .schemes import SchemeKind, parse_test_function, riemann_sum, simpson_error_decomposition
 
 
 def main(argv=None) -> int:
@@ -123,11 +117,10 @@ def _experiment_flags(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--tol", type=float, help="constants tolerance")
     p.add_argument("--out", help="write per-replication CSV here")
     p.add_argument("--csv", action="store_true", help="emit per-replication CSV on stdout")
+    if name != "clt":
+        p.add_argument("--scheme", choices=[s.value for s in SchemeKind])
     if name == "rate":
-        p.add_argument("--scheme", choices=[s.value for s in SchemeKind])
-        p.add_argument("--slope-tol", dest="slope_tol", type=float)
-    if name == "diverge":
-        p.add_argument("--scheme", choices=[s.value for s in SchemeKind])
+        p.add_argument("--slope-tol", type=float)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +192,6 @@ def _cmd_integrate(args) -> int:
     f = parse_test_function(args.f)
     scheme = SchemeKind(args.scheme)
     value = riemann_sum(path, f, scheme, t)
-    from .covariance import floor_index
-
     end_level = float(path.values[min(path.grid.num_increments, floor_index(args.n, t))])
     increment_of_f = float(f(end_level) - f(0.0))
     payload = {
@@ -249,88 +240,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    base = ExperimentConfig.from_file(args.config) if args.config else None
-    overrides = {}
-    if args.H is not None:
-        overrides["H"] = args.H
-    if args.n:
-        overrides["n_values"] = tuple(args.n)
-    if args.t is not None:
-        overrides["t"] = args.t
-    if args.M is not None:
-        overrides["replications"] = args.M
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.f is not None:
-        overrides["f"] = parse_test_function(args.f)
-    if args.generator is not None:
-        overrides["generator"] = GeneratorKind(args.generator)
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.tol is not None:
-        overrides["constants_tol"] = args.tol
-    if getattr(args, "scheme", None) is not None:
-        overrides["scheme"] = SchemeKind(args.scheme)
-    if getattr(args, "slope_tol", None) is not None:
-        overrides["slope_tol"] = args.slope_tol
-    if base is None:
-        if "H" not in overrides or "n_values" not in overrides:
-            raise ValueError("either --config or both --H and --n are required")
-        return ExperimentConfig(**overrides)
-    for key, value in overrides.items():
-        setattr(base, key, value)
-    base.__post_init__()
-    return base
+    raw = read_config(args.config) if args.config else {}
+    raw.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    return ExperimentConfig.from_mapping(raw)
 
 
 def _cmd_selftest(args) -> int:
     started = time.perf_counter()
-    checks = []
-
-    rng = np.random.Generator(np.random.Philox(2026))
-    xs = rng.uniform(-5.0, 5.0, 100)
-    ok = True
-    for r in SUPPORTED_POWERS:
-        recon = power_to_hermite(r).reconstruct(xs)
-        ok &= bool(np.all(np.abs(recon - xs**r) <= 1e-9 * np.maximum(1.0, np.abs(xs) ** r)))
-    checks.append({"name": "hermite_reconstruction", "pass": ok})
-
-    checks.append(
-        {
-            "name": "hermite_small_values",
-            "pass": hermite_eval(3, 2.0) == 2.0
-            and hermite_eval(5, 1.0) == 6.0
-            and hermite_eval(2, 0.0) == -1.0,
-        }
-    )
-
-    grid = HurstGrid(0.3, 64, T=1.0)
-    exact_pairs = {
-        SchemeKind.MIDPOINT: 2,
-        SchemeKind.TRAPEZOID: 2,
-        SchemeKind.SIMPSON: 4,
-        SchemeKind.MILNE: 6,
-    }
-    ok = True
-    for seed in range(3):
-        path = generate(grid, GeneratorKind.CIRCULANT_EMBEDDING, seed)
-        end = float(path.values[-1])
-        for scheme, degree in exact_pairs.items():
-            f = Polynomial([0] * degree + [1])
-            expected = f(end) - f(0.0)
-            got = riemann_sum(path, f, scheme, 1.0)
-            ok &= abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
-    checks.append({"name": "quadrature_exactness", "pass": ok})
-
-    ok = True
-    for seed in range(3):
-        path = generate(grid, GeneratorKind.CIRCULANT_EMBEDDING, 100 + seed)
-        for f in (Polynomial([0, 0, 0, 0, 0, "1/120"]), Polynomial([1, -2, 0, 3, 0, 0, 0, 1, 0, 1, 2])):
-            d = simpson_error_decomposition(path, f, 1.0)
-            expected = f(float(path.values[-1])) - f(0.0)
-            ok &= abs(d.telescoped() - expected) <= 1e-9 * max(1.0, abs(expected))
-    checks.append({"name": "simpson_telescoping", "pass": ok})
-
+    checks = [{"name": name, "pass": ok} for name, ok in exact_identity_checks().items()]
     all_pass = all(c["pass"] for c in checks)
     print(canonical_json({"checks": checks, "all_pass": all_pass}))
     _log_timing("selftest", started)

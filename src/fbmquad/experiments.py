@@ -16,7 +16,11 @@ Three experiments, all deterministic functions of their configuration:
 Replication r of the sweep's n_index-th grid draws from the Philox stream
 keyed by (master_seed, n_index * M + r), so results are bit-identical for any
 worker pool size.  Reduction happens in replication order on fixed-size
-chunks.
+chunks, each reduced by the row-wise kernels of ``schemes``.
+
+A run is described by one frozen ``ExperimentConfig``, the only validator of
+its settings.  Config files and CLI flags share one key vocabulary and both
+reach it through ``ExperimentConfig.from_mapping``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,18 @@ import numpy as np
 
 from .constants import beta_squared, beta_terms
 from .covariance import HurstGrid, cov, floor_index, rho
-from .hermite import power_to_hermite
-from .pathgen import GeneratorKind, generate_batch, replication_seeds
-from .schemes import Polynomial, SchemeKind, TestFunction, parse_test_function
+from .hermite import SUPPORTED_POWERS, hermite_eval, power_to_hermite
+from .pathgen import FbmPath, GeneratorKind, generate_batch, replication_seeds
+from .schemes import (
+    Polynomial,
+    SchemeKind,
+    TestFunction,
+    midpoint_power_sums,
+    parse_test_function,
+    riemann_sum,
+    riemann_sums,
+    simpson_error_decomposition,
+)
 from .stats import correlation, fit_loglog_slope, ks_test_normal, summarize
 
 #: Replications per work item; fixed so thread count cannot affect results.
@@ -47,10 +60,31 @@ DEFAULT_MASTER_SEED = 12
 
 _DEFAULT_F = Polynomial((0, 0, 0, 0, 0, Fraction(1, 120)))
 
+#: Config-file key, which is also the argparse dest of the CLI flag, ->
+#: (ExperimentConfig field, converter from text or from a parsed flag value).
+CONFIG_KEYS = {
+    "H": ("H", float),
+    "n": ("n_values", lambda v: v if isinstance(v, (list, tuple)) else str(v).split(",")),
+    "M": ("replications", int),
+    "t": ("t", float),
+    "seed": ("master_seed", int),
+    "scheme": ("scheme", SchemeKind),
+    "f": ("f", parse_test_function),
+    "generator": ("generator", GeneratorKind),
+    "threads": ("threads", int),
+    "variance_rel_tol": ("variance_rel_tol", float),
+    "ks_alpha": ("ks_alpha", float),
+    "sigma_gate": ("sigma_gate", float),
+    "slope_tol": ("slope_tol", float),
+    "plateau_fraction": ("plateau_fraction", float),
+    "decrease_factor": ("decrease_factor", float),
+    "tol": ("constants_tol", float),
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one Monte Carlo run."""
+    """Declarative description of one Monte Carlo run, and the only validator of its settings."""
 
     H: float
     n_values: tuple[int, ...]
@@ -71,7 +105,9 @@ class ExperimentConfig:
     constants_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        self.n_values = tuple(int(n) for n in self.n_values)
+        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if not 0.0 < self.H < 1.0:
+            raise ValueError(f"H must lie in the open interval (0, 1), got {self.H}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -80,9 +116,15 @@ class ExperimentConfig:
             raise ValueError(f"need at least 100 replications, got {self.replications}")
         if not self.t > 0.0:
             raise ValueError(f"t must be positive, got {self.t}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
 
     def echo(self) -> dict:
-        """Round-trippable configuration echo for reports."""
+        """Configuration echo for reports.
+
+        Round-trips through JSON only: its keys are the field names (``n_values``,
+        ``master_seed``, ...), not the config-file keys.
+        """
         return {
             "H": float(self.H),
             "n_values": list(self.n_values),
@@ -104,51 +146,43 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path_or_stream) -> "ExperimentConfig":
         """Parse the ``key = value`` config format (same keys as the CLI flags)."""
-        if hasattr(path_or_stream, "read"):
-            text = path_or_stream.read()
-        else:
-            with open(path_or_stream, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-        return cls.from_mapping(raw)
+        return cls.from_mapping(read_config(path_or_stream))
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        known = {
-            "H": ("H", float),
-            "n": ("n_values", lambda v: tuple(int(x) for x in str(v).split(","))),
-            "M": ("replications", int),
-            "t": ("t", float),
-            "seed": ("master_seed", int),
-            "scheme": ("scheme", SchemeKind),
-            "f": ("f", parse_test_function),
-            "generator": ("generator", GeneratorKind),
-            "threads": ("threads", int),
-            "variance_rel_tol": ("variance_rel_tol", float),
-            "ks_alpha": ("ks_alpha", float),
-            "sigma_gate": ("sigma_gate", float),
-            "slope_tol": ("slope_tol", float),
-            "plateau_fraction": ("plateau_fraction", float),
-            "decrease_factor": ("decrease_factor", float),
-            "tol": ("constants_tol", float),
-        }
+        """Build a config from config-file keys, which are also the CLI flag names.
+
+        Values may be text, as read from a file, or already typed, as parsed from
+        flags; ``n`` is a comma list or a sequence.
+        """
         kwargs = {}
         for key, value in raw.items():
-            if key not in known:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            name, conv = known[key]
+            name, conv = CONFIG_KEYS[key]
             kwargs[name] = conv(value)
         if "H" not in kwargs or "n_values" not in kwargs:
             raise ValueError("config must define at least H and n")
         return cls(**kwargs)
+
+
+def read_config(path_or_stream) -> dict[str, str]:
+    """Raw ``key = value`` pairs of a config file (``#`` starts a comment)."""
+    if hasattr(path_or_stream, "read"):
+        text = path_or_stream.read()
+    else:
+        with open(path_or_stream, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
+        key, _, value = line.partition("=")
+        raw[key.strip()] = value.strip()
+    return raw
 
 
 @dataclass
@@ -237,6 +271,64 @@ def partial_interval_second_moment(grid: HurstGrid, f: TestFunction, t: float) -
 
 
 # ---------------------------------------------------------------------------
+# exact identities
+# ---------------------------------------------------------------------------
+
+
+def exact_identity_checks() -> dict[str, bool]:
+    """Named pass/fail flags of the deterministic identities behind ``fbmquad selftest``.
+
+    Hermite reconstruction of x^r (points from Philox(101), to 1e-9); quadrature
+    exactness at H = 0.1, 0.25, 0.45, n = 64 (master seed 102, to 1e-10); Simpson
+    telescoping at H = 0.1, n = 16, 64, 256 (master seed 103, to 1e-9).
+    """
+    circ = GeneratorKind.CIRCULANT_EMBEDDING
+    xs = np.random.Generator(np.random.Philox(101)).uniform(-5.0, 5.0, 100)
+    hermite_ok = True
+    for r in SUPPORTED_POWERS:
+        recon = power_to_hermite(r).reconstruct(xs)
+        hermite_ok &= bool(np.all(np.abs(recon - xs**r) <= 1e-9 * np.maximum(1.0, np.abs(xs) ** r)))
+
+    quad_ok = True
+    for H in (0.1, 0.25, 0.45):
+        grid = HurstGrid(H, 64)
+        values = generate_batch(grid, circ, replication_seeds(102, 0, 34))
+        for row in values:
+            path = FbmPath(grid, row, seed=0)
+            for scheme in SchemeKind:
+                f = Polynomial([0] * scheme.exact_degree + [1])
+                expected = f(float(row[-1])) - f(0.0)
+                got = riemann_sum(path, f, scheme, 1.0)
+                quad_ok &= abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+
+    telescoping_ok = True
+    functions = (
+        _DEFAULT_F,
+        Polynomial([0] * 7 + [1]),
+        Polynomial([0] * 9 + [1]),
+        Polynomial([1, -2, 0, 3, 0, 0, 0, 1, 0, 1, 2]),
+    )
+    for n in (16, 64, 256):
+        grid = HurstGrid(0.1, n)
+        values = generate_batch(grid, circ, replication_seeds(103, 0, 100))
+        for row in values:
+            path = FbmPath(grid, row, seed=0)
+            for f in functions:
+                expected = f(float(row[-1])) - f(0.0)
+                got = simpson_error_decomposition(path, f, 1.0).telescoped()
+                telescoping_ok &= abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    return {
+        "hermite_reconstruction": hermite_ok,
+        "hermite_small_values": hermite_eval(3, 2.0) == 2.0
+        and hermite_eval(5, 1.0) == 6.0
+        and hermite_eval(2, 0.0) == -1.0,
+        "quadrature_exactness": quad_ok,
+        "simpson_telescoping": telescoping_ok,
+    }
+
+
+# ---------------------------------------------------------------------------
 # replication engine
 # ---------------------------------------------------------------------------
 
@@ -271,24 +363,6 @@ def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pieces = list(pool.map(lambda b: worker(*b), bounds))
     return {key: np.concatenate([p[key] for p in pieces]) for key in pieces[0]}
-
-
-def _batch_riemann_sum(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.ndarray:
-    """Row-wise Riemann sums over full paths; matches schemes.riemann_sum exactly."""
-    left = values[:, :-1]
-    db = np.diff(values, axis=1)
-    fprime = f.derivative(1)
-    acc = np.zeros_like(db)
-    for offset, weight in zip(kind.offsets, kind.weights):
-        acc += float(weight) * fprime(left + float(offset) * db)
-    return np.sum(acc * db, axis=1)
-
-
-def _batch_error_statistic(values: np.ndarray, f: TestFunction) -> np.ndarray:
-    """Row-wise sum f^(5)(mid) dB^5; matches schemes.error_statistic exactly."""
-    db = np.diff(values, axis=1)
-    mid = 0.5 * (values[:, :-1] + values[:, 1:])
-    return np.sum(f.derivative(5)(mid) * db**5, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +400,11 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
         def per_chunk(values: np.ndarray) -> dict:
             out = {
-                "stat": scale * _batch_error_statistic(values, config.f),
+                "stat": scale * midpoint_power_sums(values, f5, 5),
                 "b_end": values[:, -1].copy(),
             }
             if not constant_f5:
-                mid = 0.5 * (values[:, :-1] + values[:, 1:])
-                out["f5_sq_integral"] = np.sum(f5(mid) ** 2, axis=1) / n
+                out["f5_sq_integral"] = midpoint_power_sums(values, lambda x: f5(x) ** 2, 0) / n
             return out
 
         data = _run_replicated(config, grid, i, per_chunk)
@@ -508,7 +581,7 @@ def _residual_sweep(config: ExperimentConfig, center: bool = False):
 
         def per_chunk(values: np.ndarray) -> dict:
             b_end = values[:, -1]
-            residual = _batch_riemann_sum(values, config.f, config.scheme) - (
+            residual = riemann_sums(values, config.f, config.scheme) - (
                 config.f(b_end) - f0
             )
             return {"residual": residual, "b_end": b_end.copy()}

@@ -80,11 +80,6 @@ class FbmPath:
         return 0.5 * (self.values[:-1] + self.values[1:])
 
 
-def replication_seed(master_seed: int, stream_index: int) -> int:
-    """64-bit sub-seed for one replication stream of a seeded experiment."""
-    return int(replication_seeds(master_seed, stream_index, stream_index + 1)[0])
-
-
 def replication_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """Sub-seeds for streams start..stop-1, sliced from the master expansion.
 

@@ -19,6 +19,12 @@ decomposition: with h = dB/2,
 an identity for polynomials of degree <= 10 (the order-11 remainder vanishes).
 Expressed against dB^k instead of h^k the three error coefficients pick up
 factors 2^-5, 2^-7, 2^-9.
+
+Each formula is written once, as a row-wise kernel over an (N, m+1) array of
+path levels: ``riemann_sums`` for the composite rules and
+``midpoint_power_sums`` for sum_j g(mid_j) dB_j^r, which serves the error
+statistic and the Simpson error terms.  The single-path functions run these
+kernels on the path cut to floor(nt)/n, as a batch of one row.
 """
 
 from __future__ import annotations
@@ -207,25 +213,36 @@ def parse_test_function(text: str) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def riemann_sum(path: FbmPath, f: TestFunction, kind: SchemeKind, t: float) -> float:
-    """Composite Riemann sum sum_j [sum_w weight_w f'(node_w)] dB_j up to floor(nt)/n."""
-    m = _upper_index(path, t)
-    values = path.values
-    left = values[:m]
-    db = path.increments()[:m]
+def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.ndarray:
+    """Row-wise sum_j [sum_w weight_w f'(node_w)] dB_j over an (N, m+1) array of path levels."""
+    left = values[:, :-1]
+    db = np.diff(values, axis=1)
     fprime = f.derivative(1)
-    acc = np.zeros(m)
+    acc = np.zeros_like(db)
     for offset, weight in zip(kind.offsets, kind.weights):
         acc += float(weight) * fprime(left + float(offset) * db)
-    return float(np.sum(acc * db))
+    return np.sum(acc * db, axis=1)
+
+
+def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
+    """Row-wise sum_j g(mid_j) dB_j^r over an (N, m+1) array of path levels.
+
+    With g = f^(r), r = 5 gives the error statistic and r = 5, 7, 9 the Simpson
+    error terms; r = 0 gives n times the midpoint rule for integral g(B_s) ds.
+    """
+    db = np.diff(values, axis=1)
+    mid = 0.5 * (values[:, :-1] + values[:, 1:])
+    return np.sum(g(mid) * db**r, axis=1)
+
+
+def riemann_sum(path: FbmPath, f: TestFunction, kind: SchemeKind, t: float) -> float:
+    """Composite Riemann sum sum_j [sum_w weight_w f'(node_w)] dB_j up to floor(nt)/n."""
+    return float(riemann_sums(_levels(path, t), f, kind)[0])
 
 
 def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
     """sum_j f^(5)(midpoint_j) dB_j^5, the statistic driving critical fluctuations."""
-    m = _upper_index(path, t)
-    f5 = f.derivative(5)
-    db = path.increments()[:m]
-    return float(np.sum(f5(path.midpoints()[:m]) * db**5))
+    return float(midpoint_power_sums(_levels(path, t), f.derivative(5), 5)[0])
 
 
 @dataclass(frozen=True)
@@ -251,18 +268,19 @@ def simpson_error_decomposition(path: FbmPath, f: TestFunction, t: float) -> Sim
         raise ValueError("decomposition requires a polynomial test function")
     if f.degree > 10:
         raise ValueError(f"decomposition requires degree <= 10, got {f.degree}")
-    m = _upper_index(path, t)
-    mid = path.midpoints()[:m]
-    db = path.increments()[:m]
-    main = riemann_sum(path, f, SchemeKind.SIMPSON, t)
-    term5 = SIMPSON_DB5_COEF * float(np.sum(f.derivative(5)(mid) * db**5))
-    term7 = SIMPSON_DB7_COEF * float(np.sum(f.derivative(7)(mid) * db**7))
-    term9 = SIMPSON_DB9_COEF * float(np.sum(f.derivative(9)(mid) * db**9))
+    values = _levels(path, t)
+    main = float(riemann_sums(values, f, SchemeKind.SIMPSON)[0])
+    term5, term7, term9 = (
+        coef * float(midpoint_power_sums(values, f.derivative(r), r)[0])
+        for coef, r in ((SIMPSON_DB5_COEF, 5), (SIMPSON_DB7_COEF, 7), (SIMPSON_DB9_COEF, 9))
+    )
     return SimpsonDecomposition(main=main, term5=term5, term7=term7, term9=term9)
 
 
-def _upper_index(path: FbmPath, t: float) -> int:
+def _levels(path: FbmPath, t: float) -> np.ndarray:
+    """The path's levels at 0, 1/n, ..., floor(nt)/n, as a batch of one row."""
     grid = path.grid
     if not 0.0 < t <= grid.T:
         raise ValueError(f"time {t} outside (0, {grid.T}]")
-    return min(floor_index(grid.n, t), grid.num_increments)
+    m = min(floor_index(grid.n, t), grid.num_increments)
+    return path.values[None, : m + 1]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fbmquad import GeneratorKind, HurstGrid, generate
+
+# Every run draws the same examples, and slow first calls (cache fills) never
+# count as a deadline failure.
+settings.register_profile("fbmquad", derandomize=True, deadline=None)
+settings.load_profile("fbmquad")
 
 
 @pytest.fixture

@@ -30,12 +30,12 @@ import fbmquad as fq
 from fbmquad import (
     DEFAULT_MASTER_SEED,
     ExperimentConfig,
-    FbmPath,
     GeneratorKind,
     HurstGrid,
     Polynomial,
     SchemeKind,
 )
+from fbmquad.experiments import exact_identity_checks
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 CHOL = GeneratorKind.CHOLESKY_EXACT
@@ -55,60 +55,11 @@ def record(number: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_exact_identities():
     started = time.perf_counter()
-    rng = np.random.Generator(np.random.Philox(101))
-
-    xs = rng.uniform(-5.0, 5.0, 100)
-    hermite_ok = True
-    for r in (1, 3, 5, 7, 9, 11):
-        recon = fq.power_to_hermite(r).reconstruct(xs)
-        hermite_ok &= bool(np.all(np.abs(recon - xs**r) <= 1e-9 * np.maximum(1.0, np.abs(xs) ** r)))
-
-    exact_pairs = {
-        SchemeKind.MIDPOINT: 2,
-        SchemeKind.TRAPEZOID: 2,
-        SchemeKind.SIMPSON: 4,
-        SchemeKind.MILNE: 6,
-    }
-    quad_ok = True
-    for H in (0.1, 0.25, 0.45):
-        grid = HurstGrid(H, 64)
-        values = fq.generate_batch(grid, CIRC, fq.replication_seeds(102, 0, 34))
-        for row in values:
-            path = FbmPath(grid, row, seed=0)
-            end = float(row[-1])
-            for scheme, degree in exact_pairs.items():
-                f = Polynomial([0] * degree + [1])
-                expected = f(end) - f(0.0)
-                got = fq.riemann_sum(path, f, scheme, 1.0)
-                quad_ok &= abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
-
-    telescoping_ok = True
-    functions = (
-        QUINTIC,
-        Polynomial([0] * 7 + [1]),
-        Polynomial([0] * 9 + [1]),
-        Polynomial([1, -2, 0, 3, 0, 0, 0, 1, 0, 1, 2]),
-    )
-    for n in (16, 64, 256):
-        grid = HurstGrid(0.1, n)
-        values = fq.generate_batch(grid, CIRC, fq.replication_seeds(103, 0, 100))
-        for row in values:
-            path = FbmPath(grid, row, seed=0)
-            end = float(row[-1])
-            for f in functions:
-                d = fq.simpson_error_decomposition(path, f, 1.0)
-                expected = f(end) - f(0.0)
-                telescoping_ok &= abs(d.telescoped() - expected) <= 1e-9 * max(1.0, abs(expected))
-
+    checks = exact_identity_checks()
     elapsed = time.perf_counter() - started
-    ok = hermite_ok and quad_ok and telescoping_ok and elapsed < 10.0
-    record(
-        1,
-        "exact identities",
-        ok,
-        f"hermite={hermite_ok} quadrature={quad_ok} telescoping={telescoping_ok} "
-        f"runtime={elapsed:.1f}s (<10s)",
-    )
+    ok = all(checks.values()) and elapsed < 10.0
+    detail = " ".join(f"{name}={passed}" for name, passed in checks.items())
+    record(1, "exact identities", ok, f"{detail} runtime={elapsed:.1f}s (<10s)")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fbmquad.cli import main
+from fbmquad import ExperimentConfig
+from fbmquad.cli import _build_parser, _config_from_args, main
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -185,3 +188,59 @@ class TestSelftestAndUsage:
         # M below the minimum replication count
         code, _, err = run_cli(capsys, "clt", "--H", "0.1", "--n", "16", "--M", "50")
         assert code == 2
+
+    def test_negative_master_seed_is_config_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rate", "--H", "0.2", "--n", "16", "--n", "32", "--M", "100", "--seed", "-1"
+        )
+        assert code == 2
+        assert "master_seed must be a nonnegative integer" in err
+
+
+# ---------------------------------------------------------------------------
+# config files and flags share one key vocabulary
+# ---------------------------------------------------------------------------
+
+#: Config-file key -> strategy for its text value, as written in a file.
+CONFIG_VALUES = {
+    "H": st.floats(0.15, 0.45).map(repr),
+    "n": st.lists(st.integers(3, 64), min_size=1, max_size=3, unique=True).map(
+        lambda ns: ",".join(str(n) for n in sorted(ns))
+    ),
+    "t": st.sampled_from(["0.5", "1.0", "2.0"]),
+    "M": st.integers(100, 500).map(str),
+    "seed": st.integers(0, 2**64).map(str),
+    "f": st.sampled_from(["0,0,0,0,0,1/120", "1,-2,3/4", "0,0,0,0,0,0,0,1/5040"]),
+    "generator": st.sampled_from(["circulant", "cholesky"]),
+    "threads": st.integers(1, 4).map(str),
+    "tol": st.sampled_from(["1e-9", "1e-6"]),
+    "scheme": st.sampled_from(["midpoint", "trapezoid", "simpson", "milne"]),
+    "slope_tol": st.floats(0.1, 1.0).map(repr),
+}
+
+
+def _flags(key: str, text: str) -> list[str]:
+    flag = "--slope-tol" if key == "slope_tol" else f"--{key}"
+    if key == "n":
+        return [arg for n in text.split(",") for arg in (flag, n)]
+    return [flag, text]
+
+
+class TestConfigMerge:
+    @given(
+        file_keys=st.sets(st.sampled_from(sorted(CONFIG_VALUES))),
+        flag_keys=st.sets(st.sampled_from(sorted(CONFIG_VALUES))),
+        data=st.data(),
+    )
+    def test_flags_override_file_keys(self, tmp_path_factory, file_keys, flag_keys, data):
+        file_keys |= {"H"}
+        flag_keys |= {"n"}
+        file_raw = {k: data.draw(CONFIG_VALUES[k], label=f"file {k}") for k in sorted(file_keys)}
+        flag_raw = {k: data.draw(CONFIG_VALUES[k], label=f"flag {k}") for k in sorted(flag_keys)}
+        cfg_file = tmp_path_factory.mktemp("config") / "run.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in file_raw.items()))
+        argv = ["rate", "--config", str(cfg_file)]
+        for key, text in flag_raw.items():
+            argv += _flags(key, text)
+        config = _config_from_args(_build_parser().parse_args(argv))
+        assert config == ExperimentConfig.from_mapping({**file_raw, **flag_raw})

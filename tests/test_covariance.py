@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from fbmquad import (
-    HurstGrid,
-    abs_power_sum,
-    cov,
-    increment_cov,
-    increment_gram,
-    increment_level_cov,
-    increment_midpoint_cov,
-    rho,
-)
+from fbmquad import HurstGrid, cov, increment_gram, rho
+from oracle import abs_power_sum, increment_cov, increment_level_cov, increment_midpoint_cov
 
 # ---------------------------------------------------------------------------
 # kernel values

@@ -1,5 +1,6 @@
 """Experiment harness: determinism, verdict logic, exact second-moment targets."""
 
+import dataclasses
 import io
 import json
 import math
@@ -21,9 +22,7 @@ from fbmquad import (
     run_divergence_probe,
     run_rate_experiment,
 )
-from fbmquad.experiments import _batch_error_statistic, _batch_riemann_sum
-from fbmquad.pathgen import FbmPath, generate_batch, replication_seeds
-from fbmquad.schemes import error_statistic, riemann_sum
+from fbmquad.pathgen import generate_batch, replication_seeds
 
 QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
 
@@ -44,6 +43,25 @@ class TestConfig:
             ExperimentConfig(H=0.1, n_values=(64,), replications=99)
         with pytest.raises(ValueError):
             ExperimentConfig(H=0.1, n_values=(64,), replications=100, t=0.0)
+        for H in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="H must lie"):
+                ExperimentConfig(H=H, n_values=(64,), replications=100)
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig(H=0.1, n_values=(64,), replications=100, master_seed=-1)
+
+    def test_frozen_and_replace_revalidates(self):
+        cfg = ExperimentConfig(H=0.1, n_values=(64,), replications=100)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.replications = 50
+        assert dataclasses.replace(cfg, replications=120).replications == 120
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, replications=50)
+
+    def test_from_mapping_takes_comma_string_or_sequence(self):
+        a = ExperimentConfig.from_mapping({"H": "0.1", "n": "16,32"})
+        b = ExperimentConfig.from_mapping({"H": 0.1, "n": [16, 32]})
+        assert a == b
+        assert a.n_values == (16, 32)
 
     def test_from_file(self, tmp_path):
         text = """
@@ -87,30 +105,6 @@ class TestConfig:
         echoed = json.loads(canonical_json(cfg.echo()))
         assert echoed["f"] == "0,0,0,0,0,1/120"
         assert echoed["n_values"] == [64]
-
-
-# ---------------------------------------------------------------------------
-# batched statistics match the scalar path operations
-# ---------------------------------------------------------------------------
-
-
-class TestBatchConsistency:
-    def test_batch_riemann_equals_pathwise(self):
-        grid = HurstGrid(0.2, 64)
-        values = generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, replication_seeds(5, 0, 8))
-        for scheme in SchemeKind:
-            batch = _batch_riemann_sum(values, QUINTIC, scheme)
-            for i, row in enumerate(values):
-                path = FbmPath(grid, row, seed=0)
-                assert batch[i] == riemann_sum(path, QUINTIC, scheme, 1.0)
-
-    def test_batch_error_statistic_equals_pathwise(self):
-        grid = HurstGrid(0.1, 64)
-        values = generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, replication_seeds(6, 0, 8))
-        batch = _batch_error_statistic(values, QUINTIC)
-        for i, row in enumerate(values):
-            path = FbmPath(grid, row, seed=0)
-            assert batch[i] == error_statistic(path, QUINTIC, 1.0)
 
 
 # ---------------------------------------------------------------------------

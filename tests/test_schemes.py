@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmquad import (
+    FbmPath,
     GeneratorKind,
     HurstGrid,
     Polynomial,
@@ -21,7 +24,14 @@ from fbmquad import (
     riemann_sum,
     simpson_error_decomposition,
 )
-from fbmquad.schemes import SIMPSON_DB5_COEF, SIMPSON_DB7_COEF, SIMPSON_DB9_COEF
+from fbmquad.covariance import floor_index
+from fbmquad.schemes import (
+    SIMPSON_DB5_COEF,
+    SIMPSON_DB7_COEF,
+    SIMPSON_DB9_COEF,
+    midpoint_power_sums,
+    riemann_sums,
+)
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 
@@ -58,6 +68,9 @@ class TestSchemeTable:
         assert SchemeKind.SIMPSON.error_power == 5
         assert SchemeKind.MILNE.error_power == 7
         assert SchemeKind.TRAPEZOID.error_power == 3
+
+    def test_exact_degrees(self):
+        assert [s.exact_degree for s in SchemeKind] == [2, 2, 4, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +158,6 @@ class TestRiemannSum:
             grid, values = random_paths(10, H=H)
             for row in values:
                 path_end = float(row[-1])
-                from fbmquad import FbmPath
-
                 path = FbmPath(grid, row, seed=0)
                 f = Polynomial([0] * degree + [1])
                 expected = f(path_end) - f(0.0)
@@ -303,3 +314,65 @@ class TestSquaredStatisticDecay:
             moments[n] = float(np.mean(stat**2))
         ratio = math.log(moments[2048] / moments[512], 4.0)
         assert abs(ratio - (1.0 - 10.0 * H)) <= 0.35
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against the single-path functions
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+POLYNOMIALS = st.lists(RATIONALS, min_size=1, max_size=11).map(Polynomial)
+COSINES = st.builds(
+    ScaledCosine,
+    st.floats(0.1, 3.0),
+    st.floats(0.1, 4.0),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def batches(draw, functions=st.one_of(POLYNOMIALS, COSINES)):
+    """Paths on a random grid, an off-grid or on-grid horizon t, and a test function."""
+    H = draw(st.floats(0.02, 0.95))
+    n = draw(st.integers(3, 300))
+    T = draw(st.sampled_from([1.0, 0.7, 2.3]))
+    grid = HurstGrid(H, n, T=T)
+    t = draw(st.one_of(st.just(T), st.floats(0.01, 1.0).map(lambda u: u * T)))
+    seeds = replication_seeds(draw(st.integers(0, 2**64)), 0, draw(st.integers(1, 5)))
+    values = generate_batch(grid, CIRC, seeds)
+    m = min(floor_index(n, t), grid.num_increments)
+    paths = [FbmPath(grid, row, seed=0) for row in values]
+    return paths, values[:, : m + 1], t, draw(functions)
+
+
+class TestBatchConsistency:
+    @given(batch=batches(), scheme=st.sampled_from(SchemeKind))
+    def test_batch_riemann_equals_pathwise(self, batch, scheme):
+        paths, levels, t, f = batch
+        sums = riemann_sums(levels, f, scheme)
+        for i, path in enumerate(paths):
+            assert sums[i] == riemann_sum(path, f, scheme, t)
+
+    @given(batch=batches())
+    def test_batch_error_statistic_equals_pathwise(self, batch):
+        paths, levels, t, f = batch
+        stats = midpoint_power_sums(levels, f.derivative(5), 5)
+        for i, path in enumerate(paths):
+            assert stats[i] == error_statistic(path, f, t)
+
+    @given(batch=batches(functions=POLYNOMIALS))
+    def test_batch_simpson_terms_equal_pathwise(self, batch):
+        paths, levels, t, f = batch
+        main = riemann_sums(levels, f, SchemeKind.SIMPSON)
+        terms = [
+            coef * midpoint_power_sums(levels, f.derivative(r), r)
+            for coef, r in ((SIMPSON_DB5_COEF, 5), (SIMPSON_DB7_COEF, 7), (SIMPSON_DB9_COEF, 9))
+        ]
+        for i, path in enumerate(paths):
+            d = simpson_error_decomposition(path, f, t)
+            assert (d.main, d.term5, d.term7, d.term9) == (
+                main[i],
+                terms[0][i],
+                terms[1][i],
+                terms[2][i],
+            )
