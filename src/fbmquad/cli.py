@@ -14,7 +14,7 @@ import sys
 import time
 
 from .constants import beta_squared, beta_terms
-from .covariance import HurstGrid, floor_index
+from .covariance import HurstGrid
 from .experiments import (
     CONFIG_KEYS,
     DEFAULT_MASTER_SEED,
@@ -28,7 +28,13 @@ from .experiments import (
     run_rate_experiment,
 )
 from .pathgen import FbmPath, GeneratorKind, generate, write_path_csv
-from .schemes import SchemeKind, parse_test_function, riemann_sum, simpson_error_decomposition
+from .schemes import (
+    SchemeKind,
+    cut_levels,
+    parse_test_function,
+    riemann_sum,
+    simpson_error_decomposition,
+)
 
 
 def main(argv=None) -> int:
@@ -192,7 +198,7 @@ def _cmd_integrate(args) -> int:
     f = parse_test_function(args.f)
     scheme = SchemeKind(args.scheme)
     value = riemann_sum(path, f, scheme, t)
-    end_level = float(path.values[min(path.grid.num_increments, floor_index(args.n, t))])
+    end_level = float(cut_levels(path, t)[0, -1])
     increment_of_f = float(f(end_level) - f(0.0))
     payload = {
         "H": args.H,

@@ -44,6 +44,7 @@ from .schemes import (
     Polynomial,
     SchemeKind,
     TestFunction,
+    constant_value,
     midpoint_power_sums,
     parse_test_function,
     riemann_sum,
@@ -386,9 +387,9 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     k5, k3 = beta_terms(config.H, config.constants_tol)
     beta_sq = beta_squared(k5, k3)
     f5 = config.f.derivative(5)
-    constant_f5 = f5.degree == 0 if isinstance(f5, Polynomial) else False
-    c = float(f5.coeffs[0]) if constant_f5 and f5.coeffs else (0.0 if constant_f5 else None)
-    degenerate = constant_f5 and c == 0.0
+    c = constant_value(f5)
+    constant_f5 = c is not None
+    degenerate = c == 0.0
 
     results = []
     rows: list[tuple] = []
@@ -615,9 +616,8 @@ def _residual_sweep(config: ExperimentConfig, center: bool = False):
 
 def _plateau_level(config: ExperimentConfig) -> float:
     """Predicted critical-case residual variance: (c beta / 2880)^2 t for constant f^(5)."""
-    f5 = config.f.derivative(5)
-    if not (isinstance(f5, Polynomial) and f5.degree == 0):
+    c = constant_value(config.f.derivative(5))
+    if c is None:
         raise ValueError("the critical divergence probe needs constant f^(5)")
-    c = float(f5.coeffs[0]) if f5.coeffs else 0.0
     beta_sq = beta_squared(*beta_terms(config.H, config.constants_tol))
     return c * c * beta_sq * config.t / 2880.0**2

@@ -71,14 +71,6 @@ class FbmPath:
         if self.values[0] != 0.0:
             raise ValueError("path must start at exactly 0")
 
-    def increments(self) -> np.ndarray:
-        """B_{(j+1)/n} - B_{j/n} for j = 0..floor(nT)-1."""
-        return np.diff(self.values)
-
-    def midpoints(self) -> np.ndarray:
-        """(B_{j/n} + B_{(j+1)/n}) / 2 for j = 0..floor(nT)-1."""
-        return 0.5 * (self.values[:-1] + self.values[1:])
-
 
 def replication_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """Sub-seeds for streams start..stop-1, sliced from the master expansion.
@@ -189,17 +181,18 @@ def _philox_keys(seeds: list[int]) -> np.ndarray:
     return _hashmix(pool, _KEY_HASH).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _row_normals(seeds: list[int], size: int):
-    """Yield ``size`` standard normals from each seed's Philox stream, in order.
+def _fill_normals(seeds: list[int], out: np.ndarray) -> None:
+    """Fill row i of ``out`` with standard normals from seeds[i]'s Philox stream, in order.
 
     One bit generator serves the whole batch: for each row it is reset to
     that seed's key with a zero counter and an empty buffer, which is exactly
-    the state of a freshly seeded ``Philox(SeedSequence(seed))``.
+    the state of a freshly seeded ``Philox(SeedSequence(seed))``.  The rows of
+    ``out`` must be C-contiguous; they are written without a temporary.
     """
     bit_generator = np.random.Philox(0)
     normals = np.random.Generator(bit_generator)
     zeros = np.zeros(4, dtype=np.uint64)
-    for key in _philox_keys(seeds):
+    for row, key in zip(out, _philox_keys(seeds)):
         bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": zeros, "key": key},
@@ -208,7 +201,7 @@ def _row_normals(seeds: list[int], size: int):
             "has_uint32": 0,
             "uinteger": 0,
         }
-        yield normals.standard_normal(size)
+        normals.standard_normal(out=row)
 
 
 @lru_cache(maxsize=8)
@@ -238,21 +231,36 @@ def _cholesky_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
         raise ValueError(f"Cholesky generation needs floor(nT) <= {GRAM_CAP_DEFAULT}, got {m}")
     factor = _cholesky_factor(grid)
     fgn = np.empty((len(seeds), m))
-    for i, z in enumerate(_row_normals(seeds, m)):
-        fgn[i] = factor @ z
+    _fill_normals(seeds, fgn)
+    for row in fgn:
+        row[:] = factor @ row
     return fgn
 
 
 def _circulant_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
+    """Davies-Harte sampling, assembled in one preallocated (N, 2m) complex spectrum.
+
+    Row i's 2m normals z are drawn straight into the float view of its
+    spectrum, where z[2k], z[2k+1] already sit at Re X_k, Im X_k.  Scaling by
+    sqrt(lambda_k) (over sqrt 2 inside) then gives X_1..X_{m-1}; X_0 is real
+    (its imaginary part is scaled by 0), X_m = sqrt(lambda_m) z[1] is real, and
+    X_{2m-k} = conj(X_k).  The complex FFT runs in place; the result is a view
+    of its real part.
+    """
     m = grid.num_increments
     sq = _sqrt_eigenvalues(grid)
     two_m = 2 * m
     spectral = np.empty((len(seeds), two_m), dtype=np.complex128)
-    half = sq[1:m] / np.sqrt(2.0)
-    for i, z in enumerate(_row_normals(seeds, two_m)):
-        spectral[i, 0] = sq[0] * z[0]
-        spectral[i, m] = sq[m] * z[1]
-        interior = half * (z[2:two_m:2] + 1j * z[3:two_m:2])
-        spectral[i, 1:m] = interior
-        spectral[i, m + 1 :] = np.conj(interior[::-1])
-    return np.fft.fft(spectral, axis=1).real[:, :m] / np.sqrt(two_m)
+    floats = spectral.view(np.float64)[:, :two_m]
+    _fill_normals(seeds, floats)
+    x_m = sq[m] * floats[:, 1]
+    scale = np.empty(two_m)
+    scale[:2] = sq[0], 0.0
+    scale[2:] = np.repeat(sq[1:m] / np.sqrt(2.0), 2)
+    floats *= scale
+    spectral[:, m] = x_m
+    np.conjugate(spectral[:, m - 1 : 0 : -1], out=spectral[:, m + 1 :])
+    np.fft.fft(spectral, axis=1, out=spectral)
+    fgn = spectral.real[:, :m]
+    fgn /= np.sqrt(two_m)
+    return fgn

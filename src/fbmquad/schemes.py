@@ -24,7 +24,7 @@ Each formula is written once, as a row-wise kernel over an (N, m+1) array of
 path levels: ``riemann_sums`` for the composite rules and
 ``midpoint_power_sums`` for sum_j g(mid_j) dB_j^r, which serves the error
 statistic and the Simpson error terms.  The single-path functions run these
-kernels on the path cut to floor(nt)/n, as a batch of one row.
+kernels on the path cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
 """
 
 from __future__ import annotations
@@ -208,6 +208,13 @@ def parse_test_function(text: str) -> TestFunction:
         raise ValueError(f"cannot parse test function {text!r}: {exc}") from None
 
 
+def constant_value(g) -> float | None:
+    """The value of g if it is a constant ``Polynomial``, else None."""
+    if not (isinstance(g, Polynomial) and g.degree == 0):
+        return None
+    return float(g.coeffs[0]) if g.coeffs else 0.0
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -229,20 +236,32 @@ def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
 
     With g = f^(r), r = 5 gives the error statistic and r = 5, 7, 9 the Simpson
     error terms; r = 0 gives n times the midpoint rule for integral g(B_s) ds.
+    dB^r is formed by in-place square-and-multiply, because ``db**r`` goes
+    through libm ``pow`` at many times the cost.  A constant g skips the
+    midpoints and is not evaluated.
     """
     db = np.diff(values, axis=1)
-    mid = 0.5 * (values[:, :-1] + values[:, 1:])
-    return np.sum(g(mid) * db**r, axis=1)
+    terms = np.ones_like(db) if r == 0 else db.copy()
+    for bit in bin(r)[3:]:
+        terms *= terms
+        if bit == "1":
+            terms *= db
+    c = constant_value(g)
+    if c is None:
+        terms *= g(0.5 * (values[:, :-1] + values[:, 1:]))
+    elif c != 1.0:
+        terms *= c
+    return np.sum(terms, axis=1)
 
 
 def riemann_sum(path: FbmPath, f: TestFunction, kind: SchemeKind, t: float) -> float:
     """Composite Riemann sum sum_j [sum_w weight_w f'(node_w)] dB_j up to floor(nt)/n."""
-    return float(riemann_sums(_levels(path, t), f, kind)[0])
+    return float(riemann_sums(cut_levels(path, t), f, kind)[0])
 
 
 def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
     """sum_j f^(5)(midpoint_j) dB_j^5, the statistic driving critical fluctuations."""
-    return float(midpoint_power_sums(_levels(path, t), f.derivative(5), 5)[0])
+    return float(midpoint_power_sums(cut_levels(path, t), f.derivative(5), 5)[0])
 
 
 @dataclass(frozen=True)
@@ -268,7 +287,7 @@ def simpson_error_decomposition(path: FbmPath, f: TestFunction, t: float) -> Sim
         raise ValueError("decomposition requires a polynomial test function")
     if f.degree > 10:
         raise ValueError(f"decomposition requires degree <= 10, got {f.degree}")
-    values = _levels(path, t)
+    values = cut_levels(path, t)
     main = float(riemann_sums(values, f, SchemeKind.SIMPSON)[0])
     term5, term7, term9 = (
         coef * float(midpoint_power_sums(values, f.derivative(r), r)[0])
@@ -277,7 +296,7 @@ def simpson_error_decomposition(path: FbmPath, f: TestFunction, t: float) -> Sim
     return SimpsonDecomposition(main=main, term5=term5, term7=term7, term9=term9)
 
 
-def _levels(path: FbmPath, t: float) -> np.ndarray:
+def cut_levels(path: FbmPath, t: float) -> np.ndarray:
     """The path's levels at 0, 1/n, ..., floor(nt)/n, as a batch of one row."""
     grid = path.grid
     if not 0.0 < t <= grid.T:

@@ -1,12 +1,23 @@
-"""Covariance and seeding helpers that only the tests use.
+"""Covariance, seeding, path and kernel helpers that only the tests use.
 
-They restate closed forms of the fBm kernel entry by entry and serve as
-oracles for the package's vectorized Gram matrix, samplers and seed windows.
+They restate closed forms of the fBm kernel entry by entry, draw from freshly
+seeded streams and keep the straightforward loop and ``pow`` forms of the
+samplers and statistics, as oracles for the package's vectorized Gram matrix,
+seed windows, samplers and quadrature kernels.
 """
 
 import numpy as np
 
-from fbmquad import HurstGrid, cov, replication_seeds, rho
+from fbmquad import (
+    FbmPath,
+    GeneratorKind,
+    HurstGrid,
+    circulant_eigenvalues,
+    cov,
+    increment_gram,
+    replication_seeds,
+    rho,
+)
 
 #: Sum families supported by :func:`abs_power_sum`.
 SUM_KINDS = ("level", "midpoint", "increment")
@@ -76,6 +87,58 @@ def abs_power_sum(grid: HurstGrid, kind: str, r: int, fixed=None) -> float:
 def replication_seed(master_seed: int, stream_index: int) -> int:
     """64-bit sub-seed for one replication stream of a seeded experiment."""
     return int(replication_seeds(master_seed, stream_index, stream_index + 1)[0])
+
+
+def fresh_stream(seed: int) -> np.random.Generator:
+    """The generator a path with this seed must draw from."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def increments(path: FbmPath) -> np.ndarray:
+    """B_{(j+1)/n} - B_{j/n} for j = 0..floor(nT)-1."""
+    return np.diff(path.values)
+
+
+def midpoints(path: FbmPath) -> np.ndarray:
+    """(B_{j/n} + B_{(j+1)/n}) / 2 for j = 0..floor(nT)-1."""
+    return 0.5 * (path.values[:-1] + path.values[1:])
+
+
+def per_row_levels(grid: HurstGrid, kind: GeneratorKind, seeds) -> np.ndarray:
+    """Paths sampled one row at a time from fresh streams, spectrum assembled per row.
+
+    The straightforward form of both samplers; ``generate_batch`` must equal it
+    bit for bit.
+    """
+    m = grid.num_increments
+    fgn = np.empty((len(seeds), m))
+    if kind is GeneratorKind.CHOLESKY_EXACT:
+        factor = np.linalg.cholesky(increment_gram(grid))
+        for i, seed in enumerate(seeds):
+            fgn[i] = factor @ fresh_stream(int(seed)).standard_normal(m)
+    else:
+        sq = np.sqrt(np.clip(circulant_eigenvalues(grid), 0.0, None))
+        two_m = 2 * m
+        spectral = np.empty((len(seeds), two_m), dtype=np.complex128)
+        half = sq[1:m] / np.sqrt(2.0)
+        for i, seed in enumerate(seeds):
+            z = fresh_stream(int(seed)).standard_normal(two_m)
+            spectral[i, 0] = sq[0] * z[0]
+            spectral[i, m] = sq[m] * z[1]
+            interior = half * (z[2:two_m:2] + 1j * z[3:two_m:2])
+            spectral[i, 1:m] = interior
+            spectral[i, m + 1 :] = np.conj(interior[::-1])
+        fgn[:] = np.fft.fft(spectral, axis=1).real[:, :m] / np.sqrt(two_m)
+    paths = np.zeros((len(seeds), m + 1))
+    np.cumsum(fgn, axis=1, out=paths[:, 1:])
+    return paths
+
+
+def pow_midpoint_terms(values: np.ndarray, g, r: int) -> np.ndarray:
+    """Row-wise terms g(mid_j) dB_j^r with dB^r through ``pow``, g always evaluated."""
+    db = np.diff(values, axis=1)
+    mid = 0.5 * (values[:, :-1] + values[:, 1:])
+    return g(mid) * db**r
 
 
 def _check_increment_index(grid: HurstGrid, j: int) -> None:

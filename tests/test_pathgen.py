@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,15 +24,10 @@ from fbmquad import (
     replication_seeds,
     write_path_csv,
 )
-from oracle import replication_seed
+from oracle import fresh_stream, increments, midpoints, per_row_levels, replication_seed
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 CHOL = GeneratorKind.CHOLESKY_EXACT
-
-
-def _stream(seed: int) -> np.random.Generator:
-    """Reference stream: the generator a path with this seed must draw from."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -43,24 +39,24 @@ class TestFbmPath:
     def test_increment_arithmetic(self):
         grid = HurstGrid(0.5, 4)
         path = FbmPath(grid, np.array([0.0, 1.0, 3.0, 2.0, 5.0]), seed=0)
-        assert np.array_equal(path.increments(), [1.0, 2.0, -1.0, 3.0])
+        assert np.array_equal(increments(path), [1.0, 2.0, -1.0, 3.0])
 
     def test_zero_path(self):
         grid = HurstGrid(0.5, 4)
         path = FbmPath(grid, np.zeros(5), seed=0)
-        assert np.all(path.increments() == 0.0)
-        assert np.all(path.midpoints() == 0.0)
+        assert np.all(increments(path) == 0.0)
+        assert np.all(midpoints(path) == 0.0)
 
     def test_increments_telescope(self):
         grid = HurstGrid(0.1, 32)
         path = generate(grid, CIRC, 7)
-        assert path.increments().sum() == pytest.approx(path.values[-1], rel=1e-12)
+        assert increments(path).sum() == pytest.approx(path.values[-1], rel=1e-12)
 
     def test_midpoint_values(self):
         grid = HurstGrid(0.5, 4)
         path = FbmPath(grid, np.array([0.0, 2.0, 1.0, 1.0, 4.0]), seed=0)
-        assert path.midpoints()[0] == 1.0
-        assert np.array_equal(path.midpoints(), path.values[:-1] + path.increments() / 2.0)
+        assert midpoints(path)[0] == 1.0
+        assert np.array_equal(midpoints(path), path.values[:-1] + increments(path) / 2.0)
 
     def test_validation(self):
         grid = HurstGrid(0.5, 4)
@@ -97,6 +93,19 @@ class TestReproducibility:
         whole = generate_batch(grid, CIRC, seeds)
         parts = np.vstack([generate_batch(grid, CIRC, seeds[:7]), generate_batch(grid, CIRC, seeds[7:])])
         assert np.array_equal(whole, parts)
+
+    @given(
+        H=st.floats(0.05, 0.95),
+        n=st.integers(3, 300),
+        T=st.floats(0.7, 1.3),
+        master=st.integers(0, 2**64),
+        rows=st.integers(1, 70),
+        kind=st.sampled_from([CIRC, CHOL]),
+    )
+    def test_batch_equals_per_row_loop(self, H, n, T, master, rows, kind):
+        grid = HurstGrid(H, n, T=T)
+        seeds = replication_seeds(master, 0, rows)
+        assert np.array_equal(generate_batch(grid, kind, seeds), per_row_levels(grid, kind, seeds))
 
     def test_different_seeds_differ(self):
         grid = HurstGrid(0.1, 64)
@@ -143,12 +152,18 @@ class TestStreamLayer:
             expected = np.random.Philox(np.random.SeedSequence(seed)).state["state"]["key"]
             assert np.array_equal(key, expected)
 
-    @given(seeds=st.lists(SEEDS, max_size=8), size=st.integers(min_value=0, max_value=300))
-    def test_reset_generator_equals_fresh_streams(self, seeds, size):
-        rows = list(pathgen._row_normals(seeds, size))
-        assert len(rows) == len(seeds)
-        for seed, row in zip(seeds, rows):
-            assert np.array_equal(row, _stream(seed).standard_normal(size))
+    @given(
+        seeds=st.lists(SEEDS, max_size=8),
+        size=st.integers(min_value=0, max_value=300),
+        pad=st.integers(min_value=0, max_value=3),
+    )
+    def test_reset_generator_equals_fresh_streams(self, seeds, size, pad):
+        # rows are filled in place, as in the float view of the circulant spectrum
+        out = np.full((len(seeds), size + pad), np.nan)
+        pathgen._fill_normals(seeds, out[:, :size])
+        assert np.isnan(out[:, size:]).all()
+        for seed, row in zip(seeds, out[:, :size]):
+            assert np.array_equal(row, fresh_stream(seed).standard_normal(size))
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_range_rejected(self, seed):
@@ -280,6 +295,27 @@ class TestEmbedding:
         path = generate(grid, CIRC, 1)
         assert len(path.values) == 8193
         assert path.values[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+def test_batch_peak_memory():
+    # one (N, 2m) complex spectrum plus the levels is 5x the level array; the
+    # bound keeps a stray (N, 2m) temporary from creeping back
+    grid = HurstGrid(0.1, 2**14)
+    seeds = replication_seeds(12, 0, 64)
+    generate_batch(grid, CIRC, seeds[:1])  # warm the eigenvalue cache
+    tracemalloc.start()
+    try:
+        values = generate_batch(grid, CIRC, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (64, 2**14 + 1)
+    assert peak <= 6 * values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quadrature schemes: exactness degrees, the Simpson decomposition, decay."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +30,11 @@ from fbmquad.schemes import (
     SIMPSON_DB5_COEF,
     SIMPSON_DB7_COEF,
     SIMPSON_DB9_COEF,
+    constant_value,
     midpoint_power_sums,
     riemann_sums,
 )
+from oracle import increments, midpoints, pow_midpoint_terms
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 
@@ -115,6 +118,14 @@ class TestTestFunctions:
             again = parse_test_function(f.spec())
             xs = np.linspace(-2, 2, 9)
             assert np.array_equal(f(xs), again(xs))
+
+    def test_constant_value(self):
+        assert constant_value(Polynomial([])) == 0.0
+        assert constant_value(Polynomial([Fraction(-5, 2), 0])) == -2.5
+        assert constant_value(Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)]).derivative(5)) == 1.0
+        assert constant_value(Polynomial([1, 1])) is None
+        assert constant_value(ScaledCosine()) is None
+        assert constant_value(lambda x: 1.0) is None
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -245,7 +256,7 @@ class TestSimpsonDecomposition:
         f = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
         d = simpson_error_decomposition(path, f, 1.0)
         assert d.term7 == d.term9 == 0.0
-        db5 = float(np.sum(path.increments() ** 5))
+        db5 = float(np.sum(increments(path) ** 5))
         assert d.term5 == pytest.approx(db5 / 2880.0, rel=1e-12)
         expected = f(float(path.values[-1])) - f(0.0)
         assert d.main - d.term5 == pytest.approx(expected, rel=1e-9)
@@ -287,7 +298,7 @@ class TestErrorStatistic:
         path = generate(grid, CIRC, 52)
         f = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
         assert error_statistic(path, f, 1.0) == pytest.approx(
-            float(np.sum(path.increments() ** 5)), rel=1e-12
+            float(np.sum(increments(path) ** 5)), rel=1e-12
         )
 
     def test_single_increment_horizon(self):
@@ -295,8 +306,22 @@ class TestErrorStatistic:
         path = generate(grid, CIRC, 53)
         f = Polynomial([0, 0, 0, 0, 0, 0, 1])
         t = 1.0 / 64
-        expected = f.derivative(5)(path.midpoints()[0]) * path.increments()[0] ** 5
+        expected = f.derivative(5)(midpoints(path)[0]) * increments(path)[0] ** 5
         assert error_statistic(path, f, t) == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_constant_statistic_peak_memory():
+    # a constant g needs the increments and one array of powers: 2x the levels;
+    # midpoints and g(mid) would add two more
+    grid = HurstGrid(0.1, 2**14)
+    values = generate_batch(grid, CIRC, replication_seeds(12, 0, 64))
+    tracemalloc.start()
+    try:
+        midpoint_power_sums(values, Polynomial([1]), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * values.nbytes
 
 
 class TestSquaredStatisticDecay:
@@ -322,6 +347,7 @@ class TestSquaredStatisticDecay:
 
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 POLYNOMIALS = st.lists(RATIONALS, min_size=1, max_size=11).map(Polynomial)
+CONSTANTS = st.sampled_from([Polynomial([0]), Polynomial([1]), Polynomial([Fraction(-5, 2)])])
 COSINES = st.builds(
     ScaledCosine,
     st.floats(0.1, 3.0),
@@ -359,6 +385,18 @@ class TestBatchConsistency:
         stats = midpoint_power_sums(levels, f.derivative(5), 5)
         for i, path in enumerate(paths):
             assert stats[i] == error_statistic(path, f, t)
+
+    @given(
+        batch=batches(functions=st.one_of(CONSTANTS, POLYNOMIALS, COSINES)),
+        r=st.integers(0, 11),
+    )
+    def test_power_sums_equal_pow_form(self, batch, r):
+        # dB^r by multiplication rounds differently from pow; the sums agree to
+        # within 1e-13 of the sum of the absolute terms
+        _, levels, _, g = batch
+        terms = pow_midpoint_terms(levels, g, r)
+        err = np.abs(midpoint_power_sums(levels, g, r) - np.sum(terms, axis=1))
+        assert np.all(err <= 1e-13 * np.sum(np.abs(terms), axis=1))
 
     @given(batch=batches(functions=POLYNOMIALS))
     def test_batch_simpson_terms_equal_pathwise(self, batch):
