@@ -186,13 +186,15 @@ def _fill_normals(seeds: list[int], out: np.ndarray) -> None:
 
     One bit generator serves the whole batch: for each row it is reset to
     that seed's key with a zero counter and an empty buffer, which is exactly
-    the state of a freshly seeded ``Philox(SeedSequence(seed))``.  The rows of
+    the state of a freshly seeded ``Philox(SeedSequence(seed))``.  The state
+    setter copies its words one element at a time, so they are handed over as
+    Python ints, which it reads faster than numpy scalars.  The rows of
     ``out`` must be C-contiguous; they are written without a temporary.
     """
     bit_generator = np.random.Philox(0)
     normals = np.random.Generator(bit_generator)
-    zeros = np.zeros(4, dtype=np.uint64)
-    for row, key in zip(out, _philox_keys(seeds)):
+    zeros = [0, 0, 0, 0]
+    for row, key in zip(out, _philox_keys(seeds).tolist()):
         bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": zeros, "key": key},
@@ -230,11 +232,11 @@ def _cholesky_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
     if m > GRAM_CAP_DEFAULT:
         raise ValueError(f"Cholesky generation needs floor(nT) <= {GRAM_CAP_DEFAULT}, got {m}")
     factor = _cholesky_factor(grid)
-    fgn = np.empty((len(seeds), m))
-    _fill_normals(seeds, fgn)
-    for row in fgn:
-        row[:] = factor @ row
-    return fgn
+    normals = np.empty((len(seeds), m))
+    _fill_normals(seeds, normals)
+    # a stack of matrix-vector products, one gemv per row, gives the bits of
+    # ``factor @ row``; one GEMM ``normals @ factor.T`` would round differently
+    return np.matmul(factor, normals[:, :, None])[:, :, 0]
 
 
 def _circulant_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:

@@ -104,12 +104,23 @@ _SCHEMES = {
 
 
 class TestFunction:
-    """Integrand descriptor: callable with exact derivatives of any order <= 11."""
+    """Integrand descriptor: callable with exact derivatives of any order <= 11.
+
+    Instances are immutable values: equal functions compare equal and hash
+    alike, so a frozen config holding one is hashable.
+    """
+
+    __slots__ = ()
 
     def derivative(self, k: int = 1) -> "TestFunction":
         raise NotImplementedError
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """Evaluate at x; a float for a scalar x, else an array of x's shape.
+
+        An array x may be evaluated into ``out``, a float64 array of its shape
+        that shares no memory with x; the call returns ``out``.
+        """
         raise NotImplementedError
 
     @property
@@ -123,67 +134,103 @@ class TestFunction:
 
 
 class Polynomial(TestFunction):
-    """Polynomial with exact rational coefficients, lowest degree first."""
+    """Polynomial with exact rational coefficients, lowest degree first.
+
+    Immutable and hashed on ``coeffs``.  Each derivative's exact coefficients
+    are computed once per instance, on first request, and the same
+    ``Polynomial`` is returned on every later call.  Evaluation runs Horner's
+    rule in place in one accumulator.
+    """
+
+    __slots__ = ("_coeffs", "_horner_coeffs", "_derivatives")
 
     def __init__(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
-        self._float_coeffs = np.array([float(c) for c in self.coeffs])
+        self._coeffs = tuple(coeffs)
+        self._horner_coeffs = tuple(float(c) for c in reversed(self._coeffs))
+        self._derivatives = {}
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else 0
+        return len(self._coeffs) - 1 if self._coeffs else 0
 
     def derivative(self, k: int = 1) -> "Polynomial":
-        coeffs = list(self.coeffs)
-        for _ in range(k):
-            coeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        return Polynomial(coeffs)
+        # past the degree every derivative is the zero polynomial; setdefault
+        # keeps one result per order when threads fill the cache at once
+        p = self
+        for order in range(1, min(k, len(self._coeffs)) + 1):
+            cached = self._derivatives.get(order)
+            if cached is None:
+                cached = self._derivatives.setdefault(
+                    order, Polynomial([i * c for i, c in enumerate(p._coeffs)][1:])
+                )
+            p = cached
+        return p
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
         x = np.asarray(x, dtype=np.float64)
-        acc = np.zeros_like(x)
-        for c in self._float_coeffs[::-1]:
-            acc = acc * x + c
-        return float(acc) if x.ndim == 0 else acc
+        if out is None:
+            out = np.zeros_like(x)
+        else:
+            out.fill(0.0)
+        for c in self._horner_coeffs:
+            out *= x
+            out += c
+        return float(out) if x.ndim == 0 else out
 
     def spec(self) -> str:
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
+        return ",".join(str(c) for c in self._coeffs) if self._coeffs else "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self.spec()!r})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
 
 
+@dataclass(frozen=True)
 class ScaledCosine(TestFunction):
     """f(x) = a cos(w x + q pi/2) with integer quarter turns, so derivatives stay exact."""
 
-    def __init__(self, amplitude: float = 1.0, frequency: float = 1.0, quarter_turns: int = 0):
-        self.amplitude = float(amplitude)
-        self.frequency = float(frequency)
-        self.quarter_turns = quarter_turns % 4
+    amplitude: float = 1.0
+    frequency: float = 1.0
+    quarter_turns: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "frequency", float(self.frequency))
+        object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
 
     def derivative(self, k: int = 1) -> "ScaledCosine":
         return ScaledCosine(
             self.amplitude * self.frequency**k, self.frequency, self.quarter_turns + k
         )
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        # cos(u + q pi/2) is cos u, -sin u, -cos u, sin u; only that branch is
+        # evaluated, and the sign goes into the amplitude, which is exact
         x = np.asarray(x, dtype=np.float64)
-        arg = self.frequency * x
-        base = (np.cos(arg), -np.sin(arg), -np.cos(arg), np.sin(arg))[self.quarter_turns]
-        out = self.amplitude * base
+        q = self.quarter_turns
+        wave = np.sin if q % 2 else np.cos
+        scale = -self.amplitude if q in (1, 2) else self.amplitude
+        if out is None:
+            out = np.empty_like(x)
+        np.multiply(self.frequency, x, out=out)
+        wave(out, out=out)
+        out *= scale
         return float(out) if x.ndim == 0 else out
 
     def spec(self) -> str:
         return f"cos:{self.amplitude!r},{self.frequency!r}"
-
-    def __repr__(self) -> str:
-        return f"ScaledCosine(amplitude={self.amplitude}, frequency={self.frequency})"
 
 
 def parse_test_function(text: str) -> TestFunction:
@@ -221,14 +268,27 @@ def constant_value(g) -> float | None:
 
 
 def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.ndarray:
-    """Row-wise sum_j [sum_w weight_w f'(node_w)] dB_j over an (N, m+1) array of path levels."""
+    """Row-wise sum_j [sum_w weight_w f'(node_w)] dB_j over an (N, m+1) array of path levels.
+
+    Every node is formed in one node buffer and f' evaluated into one value
+    buffer, so the kernel holds four (N, m) arrays whatever the scheme; the
+    floating-point operations and their order are those of
+    ``acc += weight * f'(left + offset * dB)``.
+    """
     left = values[:, :-1]
     db = np.diff(values, axis=1)
     fprime = f.derivative(1)
     acc = np.zeros_like(db)
+    node = np.empty_like(db)
+    value = np.empty_like(db)
     for offset, weight in zip(kind.offsets, kind.weights):
-        acc += float(weight) * fprime(left + float(offset) * db)
-    return np.sum(acc * db, axis=1)
+        np.multiply(db, float(offset), out=node)
+        node += left
+        fprime(node, out=value)
+        value *= float(weight)
+        acc += value
+    acc *= db
+    return np.sum(acc, axis=1)
 
 
 def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Covariance, seeding, path and kernel helpers that only the tests use.
 
 They restate closed forms of the fBm kernel entry by entry, draw from freshly
-seeded streams and keep the straightforward loop and ``pow`` forms of the
-samplers and statistics, as oracles for the package's vectorized Gram matrix,
-seed windows, samplers and quadrature kernels.
+seeded streams and keep the straightforward loop, ``pow`` and
+allocate-per-step forms of the samplers, test functions and statistics, as
+oracles for the package's vectorized Gram matrix, seed windows, samplers,
+cached derivatives and in-place quadrature kernels.
 """
 
 import numpy as np
@@ -12,6 +13,8 @@ from fbmquad import (
     FbmPath,
     GeneratorKind,
     HurstGrid,
+    Polynomial,
+    ScaledCosine,
     circulant_eigenvalues,
     cov,
     increment_gram,
@@ -139,6 +142,41 @@ def pow_midpoint_terms(values: np.ndarray, g, r: int) -> np.ndarray:
     db = np.diff(values, axis=1)
     mid = 0.5 * (values[:, :-1] + values[:, 1:])
     return g(mid) * db**r
+
+
+def kfold_derivative(coeffs, k: int) -> tuple:
+    """Coefficients of the k-th derivative, differentiated k times from scratch."""
+    coeffs = list(coeffs)
+    for _ in range(k):
+        coeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    return tuple(coeffs)
+
+
+def per_step_value(f, x):
+    """f(x) allocating at every step: Horner as ``acc = acc * x + c``, all four cosine branches."""
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(f, ScaledCosine):
+        arg = f.frequency * x
+        base = (np.cos(arg), -np.sin(arg), -np.cos(arg), np.sin(arg))[f.quarter_turns]
+        return f.amplitude * base
+    acc = np.zeros_like(x)
+    for c in reversed(f.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def per_step_riemann_sums(values: np.ndarray, f, kind) -> np.ndarray:
+    """Row-wise Riemann sums with fresh arrays for every node, value and product."""
+    left = values[:, :-1]
+    db = np.diff(values, axis=1)
+    if isinstance(f, Polynomial):
+        fprime = Polynomial(kfold_derivative(f.coeffs, 1))
+    else:
+        fprime = f.derivative(1)
+    acc = np.zeros_like(db)
+    for offset, weight in zip(kind.offsets, kind.weights):
+        acc += float(weight) * per_step_value(fprime, left + float(offset) * db)
+    return np.sum(acc * db, axis=1)
 
 
 def _check_increment_index(grid: HurstGrid, j: int) -> None:

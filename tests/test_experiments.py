@@ -14,6 +14,7 @@ from fbmquad import (
     GeneratorKind,
     HurstGrid,
     Polynomial,
+    ScaledCosine,
     SchemeKind,
     canonical_json,
     partial_interval_second_moment,
@@ -56,6 +57,15 @@ class TestConfig:
         assert dataclasses.replace(cfg, replications=120).replications == 120
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, replications=50)
+
+    def test_hashable_and_equal_by_value(self):
+        a = ExperimentConfig(H=0.2, n_values=(16, 32))
+        b = ExperimentConfig(H=0.2, n_values=[16, 32], f=Polynomial(QUINTIC.coeffs))
+        assert a == b and hash(a) == hash(b)
+        c = dataclasses.replace(a, f=ScaledCosine())
+        assert c == dataclasses.replace(a, f=ScaledCosine(1, 1, 4))
+        assert hash(c) == hash(dataclasses.replace(a, f=ScaledCosine(1, 1, 4)))
+        assert len({a, b, c}) == 2
 
     def test_from_mapping_takes_comma_string_or_sequence(self):
         a = ExperimentConfig.from_mapping({"H": "0.1", "n": "16,32"})

@@ -107,6 +107,14 @@ class TestReproducibility:
         seeds = replication_seeds(master, 0, rows)
         assert np.array_equal(generate_batch(grid, kind, seeds), per_row_levels(grid, kind, seeds))
 
+    @pytest.mark.parametrize("H", [0.1, 0.75])
+    def test_cholesky_batch_equals_per_row_loop_at_m_1024(self, H):
+        # the stacked matrix-vector product must stay on the per-row gemv path
+        # at sizes the property above does not reach
+        grid = HurstGrid(H, 1024)
+        seeds = replication_seeds(41, 0, 6)
+        assert np.array_equal(generate_batch(grid, CHOL, seeds), per_row_levels(grid, CHOL, seeds))
+
     def test_different_seeds_differ(self):
         grid = HurstGrid(0.1, 64)
         assert not np.array_equal(generate(grid, CIRC, 1).values, generate(grid, CIRC, 2).values)

@@ -1,5 +1,6 @@
 """Quadrature schemes: exactness degrees, the Simpson decomposition, decay."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fbmquad import (
     FbmPath,
@@ -34,7 +36,14 @@ from fbmquad.schemes import (
     midpoint_power_sums,
     riemann_sums,
 )
-from oracle import increments, midpoints, pow_midpoint_terms
+from oracle import (
+    increments,
+    kfold_derivative,
+    midpoints,
+    per_step_riemann_sums,
+    per_step_value,
+    pow_midpoint_terms,
+)
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 
@@ -127,11 +136,80 @@ class TestTestFunctions:
         assert constant_value(ScaledCosine()) is None
         assert constant_value(lambda x: 1.0) is None
 
+    def test_polynomial_is_an_immutable_value(self):
+        p = Polynomial([0, 1])
+        with pytest.raises(AttributeError):
+            p.coeffs = (0, 0, 1)
+        with pytest.raises(AttributeError):
+            p.scale = 2.0
+        assert p(2.0) == 2.0
+        assert p == Polynomial([0, 1, 0]) and hash(p) == hash(Polynomial([0, 1, 0]))
+        assert p != Polynomial([0, 2]) and p != ScaledCosine()
+
+    def test_cosine_is_an_immutable_value(self):
+        f = ScaledCosine()
+        assert f == ScaledCosine() and hash(f) == hash(ScaledCosine(1, 1.0, 4))
+        assert f != ScaledCosine(1.0, 2.0) and f != f.derivative(1)
+        assert f.derivative(4) == f
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.amplitude = 2.0
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_test_function("1,junk")
         with pytest.raises(ValueError):
             parse_test_function("cos:1,2,3")
+
+
+# ---------------------------------------------------------------------------
+# random grids, paths and test functions, and the rounding scale of an exact
+# identity
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+POLYNOMIALS = st.lists(RATIONALS, min_size=1, max_size=11).map(Polynomial)
+CONSTANTS = st.sampled_from([Polynomial([0]), Polynomial([1]), Polynomial([Fraction(-5, 2)])])
+COSINES = st.builds(
+    ScaledCosine,
+    st.floats(0.1, 3.0),
+    st.floats(0.1, 4.0),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def batches(draw, functions=st.one_of(POLYNOMIALS, COSINES)):
+    """Paths on a random grid, an off-grid or on-grid horizon t, and a test function."""
+    H = draw(st.floats(0.02, 0.95))
+    n = draw(st.integers(3, 300))
+    T = draw(st.sampled_from([1.0, 0.7, 2.3]))
+    grid = HurstGrid(H, n, T=T)
+    t = draw(st.one_of(st.just(T), st.floats(0.01, 1.0).map(lambda u: u * T)))
+    seeds = replication_seeds(draw(st.integers(0, 2**64)), 0, draw(st.integers(1, 5)))
+    values = generate_batch(grid, CIRC, seeds)
+    m = min(floor_index(n, t), grid.num_increments)
+    paths = [FbmPath(grid, row, seed=0) for row in values]
+    return paths, values[:, : m + 1], t, draw(functions)
+
+
+def _abs_polynomial(p):
+    return Polynomial([abs(c) for c in p.coeffs])
+
+
+def _telescope_scale(levels, f, scheme):
+    """sum_j sum_(c, w) w |f'|(|B_j + c dB_j|) |dB_j| + |f|(|B_end|) + |f|(0), per row.
+
+    |f| has the absolute coefficients of f; the rounding error of each side of
+    an exact identity is a small multiple of machine epsilon times this sum.
+    """
+    g = _abs_polynomial(f)
+    gprime = _abs_polynomial(f.derivative(1))
+    left, db = levels[:, :-1], np.diff(levels, axis=1)
+    rule = sum(
+        float(w) * gprime(np.abs(left + float(c) * db))
+        for c, w in zip(scheme.offsets, scheme.weights)
+    )
+    return np.sum(rule * np.abs(db), axis=1) + g(np.abs(levels[:, -1])) + g(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +221,13 @@ def random_paths(count, H=0.1, n=64, start=0):
     grid = HurstGrid(H, n)
     values = generate_batch(grid, CIRC, replication_seeds(1000 + start, 0, count))
     return grid, values
+
+
+def fixed_batch(H, seeds, f):
+    """A ``batches`` draw pinned to paths of 64 steps on [0, 1] from the given seeds, and f."""
+    grid = HurstGrid(H, 64)
+    paths = [generate(grid, CIRC, int(seed)) for seed in seeds]
+    return paths, np.array([path.values for path in paths]), 1.0, f
 
 
 class TestRiemannSum:
@@ -163,17 +248,19 @@ class TestRiemannSum:
             (SchemeKind.MILNE, 6),
         ],
     )
-    def test_exactness_degree(self, scheme, degree):
-        # the rule reproduces f(B_end) - f(0) for deg f <= its exactness degree
-        for H in (0.1, 0.35):
-            grid, values = random_paths(10, H=H)
-            for row in values:
-                path_end = float(row[-1])
-                path = FbmPath(grid, row, seed=0)
-                f = Polynomial([0] * degree + [1])
-                expected = f(path_end) - f(0.0)
-                got = riemann_sum(path, f, scheme, 1.0)
-                assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+    @given(batch=batches(functions=st.lists(RATIONALS, min_size=1, max_size=7)))
+    @example(batch=fixed_batch(0.1, replication_seeds(1000, 0, 10), [1] * 7))
+    @example(batch=fixed_batch(0.35, replication_seeds(1000, 0, 10), [1] * 7))
+    def test_exactness_degree(self, scheme, degree, batch):
+        # the rule reproduces f(B_end) - f(0) for deg f <= its exactness degree:
+        # x^degree and a random polynomial of that degree, on random grids and
+        # paths, within both a relative bound and the identity's rounding scale
+        _, levels, _, coeffs = batch
+        for f in (Polynomial([0] * degree + [1]), Polynomial(coeffs[: degree + 1])):
+            expected = f(levels[:, -1]) - f(0.0)
+            err = np.abs(riemann_sums(levels, f, scheme) - expected)
+            assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(expected)))
+            assert np.all(err <= 1e-12 * _telescope_scale(levels, f, scheme))
 
     def test_linearity(self):
         grid = HurstGrid(0.2, 64)
@@ -262,16 +349,25 @@ class TestSimpsonDecomposition:
         assert d.main - d.term5 == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("spec", ["0,0,0,0,0,1/120", "0,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,0,0,1"])
-    def test_pathwise_identity(self, spec):
-        f = parse_test_function(spec)
-        for H in (0.1, 0.3):
-            grid = HurstGrid(H, 64)
-            for seed in replication_seeds(77, 0, 10):
-                path = generate(grid, CIRC, int(seed))
-                d = simpson_error_decomposition(path, f, 1.0)
-                expected = f(float(path.values[-1])) - f(0.0)
-                err = abs(d.telescoped() - expected)
+    @given(batch=batches(functions=POLYNOMIALS))
+    @example(batch=fixed_batch(0.1, replication_seeds(77, 0, 10), Polynomial([1] * 11)))
+    @example(batch=fixed_batch(0.3, replication_seeds(77, 0, 10), Polynomial([1] * 11)))
+    def test_pathwise_identity(self, spec, batch):
+        # main - term5 - term7 - term9 = f(B_t) - f(0) for the monomial and for a
+        # random polynomial of degree <= 10, on random grids, horizons and paths,
+        # within both a relative bound and the identity's rounding scale
+        paths, levels, t, g = batch
+        for f in (parse_test_function(spec), g):
+            scale = _telescope_scale(levels, f, SchemeKind.SIMPSON)
+            db, mid = np.diff(levels, axis=1), 0.5 * (levels[:, :-1] + levels[:, 1:])
+            for r in (5, 7, 9):  # the error terms' sizes, their coefficients taken as 1
+                f_r = _abs_polynomial(f.derivative(r))
+                scale += np.sum(f_r(np.abs(mid)) * np.abs(db) ** r, axis=1)
+            for path, end, row_scale in zip(paths, levels[:, -1], scale):
+                expected = f(float(end)) - f(0.0)
+                err = abs(simpson_error_decomposition(path, f, t).telescoped() - expected)
                 assert err <= 1e-9 * max(1.0, abs(expected))
+                assert err <= 1e-12 * row_scale
 
     def test_degree_limit(self):
         grid = HurstGrid(0.1, 16)
@@ -324,6 +420,21 @@ def test_constant_statistic_peak_memory():
     assert peak <= 2.5 * values.nbytes
 
 
+def test_riemann_peak_memory():
+    # the increments, the accumulator, one node buffer and one value buffer
+    # are 4x the levels; a temporary per node or per Horner step adds more
+    grid = HurstGrid(0.15, 2**13)
+    values = generate_batch(grid, CIRC, replication_seeds(12, 0, 64))
+    f = Polynomial([0] * 7 + [Fraction(1, 5040)])
+    tracemalloc.start()
+    try:
+        riemann_sums(values, f, SchemeKind.MILNE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * values.nbytes
+
+
 class TestSquaredStatisticDecay:
     @pytest.mark.parametrize("H", [0.15, 0.2])
     def test_log4_ratio_tracks_one_minus_10H(self, H):
@@ -344,32 +455,6 @@ class TestSquaredStatisticDecay:
 # ---------------------------------------------------------------------------
 # batch kernels against the single-path functions
 # ---------------------------------------------------------------------------
-
-RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
-POLYNOMIALS = st.lists(RATIONALS, min_size=1, max_size=11).map(Polynomial)
-CONSTANTS = st.sampled_from([Polynomial([0]), Polynomial([1]), Polynomial([Fraction(-5, 2)])])
-COSINES = st.builds(
-    ScaledCosine,
-    st.floats(0.1, 3.0),
-    st.floats(0.1, 4.0),
-    st.integers(0, 3),
-)
-
-
-@st.composite
-def batches(draw, functions=st.one_of(POLYNOMIALS, COSINES)):
-    """Paths on a random grid, an off-grid or on-grid horizon t, and a test function."""
-    H = draw(st.floats(0.02, 0.95))
-    n = draw(st.integers(3, 300))
-    T = draw(st.sampled_from([1.0, 0.7, 2.3]))
-    grid = HurstGrid(H, n, T=T)
-    t = draw(st.one_of(st.just(T), st.floats(0.01, 1.0).map(lambda u: u * T)))
-    seeds = replication_seeds(draw(st.integers(0, 2**64)), 0, draw(st.integers(1, 5)))
-    values = generate_batch(grid, CIRC, seeds)
-    m = min(floor_index(n, t), grid.num_increments)
-    paths = [FbmPath(grid, row, seed=0) for row in values]
-    return paths, values[:, : m + 1], t, draw(functions)
-
 
 class TestBatchConsistency:
     @given(batch=batches(), scheme=st.sampled_from(SchemeKind))
@@ -414,3 +499,60 @@ class TestBatchConsistency:
                 terms[1][i],
                 terms[2][i],
             )
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against their allocate-per-step forms
+# ---------------------------------------------------------------------------
+
+ALL_POLYNOMIALS = st.lists(RATIONALS, max_size=11).map(Polynomial)  # degree 0-10 and zero
+QUARTER_COSINES = st.builds(
+    ScaledCosine,
+    st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    st.floats(0.1, 4.0),
+    st.sampled_from(range(4)),
+)
+LEVELS = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+GRIDS_2D = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40), elements=LEVELS
+)
+
+
+def assert_same_bits(ours, oracle):
+    ours, oracle = np.asarray(ours, dtype=np.float64), np.asarray(oracle, dtype=np.float64)
+    assert ours.shape == oracle.shape
+    assert np.array_equal(ours.view(np.uint64), oracle.view(np.uint64))
+
+
+class TestInPlaceKernels:
+    @given(f=ALL_POLYNOMIALS | QUARTER_COSINES, x=LEVELS | GRIDS_2D)
+    def test_evaluation_equals_per_step_form(self, f, x):
+        expected = per_step_value(f, x)
+        got = f(x)
+        assert isinstance(got, float) == (np.ndim(x) == 0)
+        assert_same_bits(got, expected)
+        if np.ndim(x):
+            out = np.full_like(x, np.nan)
+            assert f(x, out=out) is out
+            assert_same_bits(out, expected)
+
+    @given(p=ALL_POLYNOMIALS, orders=st.permutations(range(13)))
+    def test_derivative_equals_kfold_formula(self, p, orders):
+        # cache filled in a random order of first requests, then read again
+        first = {k: p.derivative(k) for k in orders}
+        for k in range(13):
+            assert first[k].coeffs == kfold_derivative(p.coeffs, k)
+            assert p.derivative(k) is first[k]
+        assert p.derivative(0) is p
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=40),
+            elements=LEVELS,
+        ),
+        f=ALL_POLYNOMIALS | QUARTER_COSINES,
+        scheme=st.sampled_from(SchemeKind),
+    )
+    def test_riemann_sums_equal_per_step_form(self, values, f, scheme):
+        assert_same_bits(riemann_sums(values, f, scheme), per_step_riemann_sums(values, f, scheme))
