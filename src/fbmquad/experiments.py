@@ -15,8 +15,11 @@ Three experiments, all deterministic functions of their configuration:
 
 Replication r of the sweep's n_index-th grid draws from the Philox stream
 keyed by (master_seed, n_index * M + r), so results are bit-identical for any
-worker pool size.  Reduction happens in replication order on fixed-size
-chunks, each reduced by the row-wise kernels of ``schemes``.
+worker pool size.  Replications are cut into work items of up to 64 rows,
+fewer at large m so that an item holds at most ``_CHUNK_INCREMENTS``
+increments (but always one row); each is reduced by the row-wise kernels of
+``schemes`` and reassembled in replication order.  Rows are independent, so
+the item size never changes the output.
 
 A run is described by one frozen ``ExperimentConfig``, the only validator of
 its settings.  Config files and CLI flags share one key vocabulary and both
@@ -53,8 +56,12 @@ from .schemes import (
 )
 from .stats import correlation, fit_loglog_slope, ks_test_normal, summarize
 
-#: Replications per work item; fixed so thread count cannot affect results.
+#: Most replications in one work item.
 _CHUNK = 64
+
+#: Most increments (rows times m) in one work item, so that an item's
+#: spectrum and kernel buffers stay a few MiB at large m.
+_CHUNK_INCREMENTS = 2**17
 
 #: Default master seed for CLI runs and the shipped acceptance configuration.
 DEFAULT_MASTER_SEED = 12
@@ -343,12 +350,15 @@ def _resolve_threads(threads: int | None) -> int:
 def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per_chunk):
     """Generate all replications for one grid and apply per_chunk to each batch.
 
-    per_chunk(values) maps a (chunk, floor(nT)+1) matrix of paths to a dict of
-    per-replication arrays.  Chunks are fixed-size and reassembled in
-    replication order, so the thread count never changes the output.
+    per_chunk(values) maps a (rows, floor(nT)+1) matrix of paths to a dict of
+    per-replication arrays.  An item holds max(1, min(_CHUNK,
+    _CHUNK_INCREMENTS // m)) rows for m = floor(nT) increments.  Rows are
+    independent and the items are reassembled in replication order, so
+    neither the item size nor the thread count changes the output.
     """
     M = config.replications
-    bounds = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+    rows = max(1, min(_CHUNK, _CHUNK_INCREMENTS // grid.num_increments))
+    bounds = [(lo, min(lo + rows, M)) for lo in range(0, M, rows)]
 
     def worker(lo: int, hi: int):
         seeds = replication_seeds(config.master_seed, n_index * M + lo, n_index * M + hi)

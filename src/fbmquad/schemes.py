@@ -113,13 +113,14 @@ class TestFunction:
     __slots__ = ()
 
     def derivative(self, k: int = 1) -> "TestFunction":
+        """The k-th derivative, k >= 0; a negative k raises ValueError."""
         raise NotImplementedError
 
     def __call__(self, x, out=None):
         """Evaluate at x; a float for a scalar x, else an array of x's shape.
 
         An array x may be evaluated into ``out``, a float64 array of its shape
-        that shares no memory with x; the call returns ``out``.
+        that shares no memory with x (else ValueError); the call returns ``out``.
         """
         raise NotImplementedError
 
@@ -161,6 +162,7 @@ class Polynomial(TestFunction):
         return len(self._coeffs) - 1 if self._coeffs else 0
 
     def derivative(self, k: int = 1) -> "Polynomial":
+        _check_order(k)
         # past the degree every derivative is the zero polynomial; setdefault
         # keeps one result per order when threads fill the cache at once
         p = self
@@ -178,6 +180,7 @@ class Polynomial(TestFunction):
         if out is None:
             out = np.zeros_like(x)
         else:
+            _check_unaliased(out, x)
             out.fill(0.0)
         for c in self._horner_coeffs:
             out *= x
@@ -211,6 +214,7 @@ class ScaledCosine(TestFunction):
         object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
 
     def derivative(self, k: int = 1) -> "ScaledCosine":
+        _check_order(k)
         return ScaledCosine(
             self.amplitude * self.frequency**k, self.frequency, self.quarter_turns + k
         )
@@ -224,13 +228,26 @@ class ScaledCosine(TestFunction):
         scale = -self.amplitude if q in (1, 2) else self.amplitude
         if out is None:
             out = np.empty_like(x)
+        else:
+            _check_unaliased(out, x)
         np.multiply(self.frequency, x, out=out)
         wave(out, out=out)
         out *= scale
         return float(out) if x.ndim == 0 else out
 
     def spec(self) -> str:
-        return f"cos:{self.amplitude!r},{self.frequency!r}"
+        text = f"cos:{self.amplitude!r},{self.frequency!r}"
+        return f"{text},{self.quarter_turns}" if self.quarter_turns else text
+
+
+def _check_order(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
+
+
+def _check_unaliased(out: np.ndarray, x: np.ndarray) -> None:
+    if np.may_share_memory(out, x):
+        raise ValueError("out must not share memory with x")
 
 
 def parse_test_function(text: str) -> TestFunction:
@@ -238,17 +255,21 @@ def parse_test_function(text: str) -> TestFunction:
 
     Either a comma list of rational polynomial coefficients lowest degree
     first (``"0,0,0,0,0,1/120"`` is x^5/120) or a named smooth function
-    (``"cos"`` or ``"cos:amplitude,frequency"``).
+    (``"cos"``, ``"cos:amplitude,frequency"`` or
+    ``"cos:amplitude,frequency,quarter_turns"`` with an integer third field).
     """
     text = text.strip()
-    if text.startswith("cos"):
-        if text == "cos":
-            return ScaledCosine()
-        _, _, args = text.partition(":")
-        parts = [float(Fraction(p)) for p in args.split(",") if p.strip()]
-        if len(parts) > 2:
-            raise ValueError(f"cos takes at most amplitude,frequency, got {text!r}")
-        return ScaledCosine(*parts)
+    if text == "cos":
+        return ScaledCosine()
+    if text.startswith("cos:"):
+        parts = text[4:].split(",")
+        if len(parts) > 3:
+            raise ValueError(f"cos takes at most amplitude,frequency,quarter_turns, got {text!r}")
+        try:
+            args = [float(Fraction(p)) for p in parts[:2]] + [int(p) for p in parts[2:]]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse test function {text!r}: {exc}") from None
+        return ScaledCosine(*args)
     try:
         return Polynomial(Fraction(p) for p in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:

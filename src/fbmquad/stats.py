@@ -6,6 +6,13 @@ slope fits for decay rates, Pearson correlation for independence checks, and
 moment summaries whose variance standard error uses the fourth central moment
 (the quintic-increment statistics are heavy-tailed, so chi-square intervals
 would be wrong).
+
+The normal CDF is ``_ndtr``, a scalar port of the Cephes ``ndtr`` (S. L.
+Moshier) that ``scipy.special.ndtr`` runs, so the runtime needs numpy alone
+and every KS statistic keeps scipy's bits.  It keeps Cephes' coefficient
+tables, evaluation order, branches and libm ``exp`` (``math.exp``); only
+the branches of ``erf`` and ``erfc`` that ``ndtr`` never reaches (|x| > 1
+and x < 0 respectively) are left out.
 """
 
 from __future__ import annotations
@@ -14,7 +21,114 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+
+
+# ---------------------------------------------------------------------------
+# normal CDF (Cephes ndtr.c)
+# ---------------------------------------------------------------------------
+
+# Rational approximations of erfc on [1, 8) (P / Q) and [8, inf) (R / S), and
+# of erf on [0, 1] (T / U); the leading 1 of Q, S and U is implicit (p1evl).
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1,
+    1.27536670759978104416e0,
+    5.01905042251180477414e0,
+    6.16021097993053585195e0,
+    7.40974269950448939160e0,
+    2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0,
+    9.39603524938001434673e0,
+    1.20489539808096656605e1,
+    1.70814450747565897222e1,
+    9.60896809063285878198e0,
+    3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """erf for |x| <= 1."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """erfc for x >= 0; 0 once exp(-x^2) underflows."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+    return z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, bit-equal to ``scipy.special.ndtr`` (Cephes)."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
 
 
 @dataclass(frozen=True)
@@ -71,7 +185,8 @@ def ks_test_normal(samples, sigma2: float) -> KsResult:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    cdf = ndtr(np.sort(x) / math.sqrt(sigma2))
+    z = np.sort(x) / math.sqrt(sigma2)
+    cdf = np.fromiter(map(_ndtr, z.tolist()), dtype=np.float64, count=count)
     steps = np.arange(1, count + 1) / count
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / count)))

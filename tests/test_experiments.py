@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmquad import (
     ExperimentConfig,
@@ -26,6 +28,19 @@ from fbmquad import (
 from fbmquad.pathgen import generate_batch, replication_seeds
 
 QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
+
+#: Nested JSON payloads of finite floats (signed zeros, subnormals and values
+#: near the top of the range included), ints, bools and None.
+PAYLOADS = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.225073858507201e-308, 1e308, -1.7976931348623157e308])
+    | st.integers()
+    | st.booleans()
+    | st.none(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -144,8 +159,18 @@ class TestDeterminism:
             assert outs[0] == outs[1]
 
     def test_json_round_trip_is_byte_identical(self):
-        cfg = ExperimentConfig(H=0.1, n_values=(16,), replications=100, master_seed=2)
-        text = run_clt_experiment(cfg).to_json()
+        for runner, H, n_values in (
+            (run_clt_experiment, 0.1, (16,)),
+            (run_rate_experiment, 0.2, (16, 32, 64)),
+            (run_divergence_probe, 0.05, (16, 32)),
+        ):
+            cfg = ExperimentConfig(H=H, n_values=n_values, replications=100, master_seed=2)
+            text = runner(cfg).to_json()
+            assert canonical_json(json.loads(text)) == text
+
+    @given(payload=PAYLOADS)
+    def test_canonical_json_round_trips_any_payload(self, payload):
+        text = canonical_json(payload)
         assert canonical_json(json.loads(text)) == text
 
     def test_replication_streams_do_not_collide(self):

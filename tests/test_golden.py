@@ -8,7 +8,8 @@ form dB^5 by multiplication instead of ``pow``, which moves the statistic in
 its last bits.  The digests pin every output bit, so any change to how seeds,
 streams, paths or statistics are produced shows up here.  A digest may only
 change together with a CHANGES.md entry that says which outputs moved and why.
-They are pinned on numpy 2.x.
+They are pinned on numpy 2.x.  Two report digests are also checked with one
+row per work item, since rows are independent of how replications are cut.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from fbmquad import (
     HurstGrid,
     Polynomial,
     SchemeKind,
+    experiments,
     generate,
     generate_batch,
     replication_seeds,
@@ -125,6 +127,13 @@ def array_digest(name: str) -> str:
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_bytes(name, threads):
+    assert report_digest(name, threads) == REPORTS[name][2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["clt-H0.1", "rate-milne-H0.15"])
+def test_report_bytes_with_one_row_per_work_item(name, threads, monkeypatch):
+    monkeypatch.setattr(experiments, "_CHUNK_INCREMENTS", 1)
     assert report_digest(name, threads) == REPORTS[name][2]
 
 

@@ -157,8 +157,31 @@ class TestTestFunctions:
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_test_function("1,junk")
-        with pytest.raises(ValueError):
-            parse_test_function("cos:1,2,3")
+        for text in ("cos:1,2,3,4", "cos:1,2,1/2", "cos:1,2,0.5", "cos:1,x", "cos:,2", "cosine"):
+            with pytest.raises(ValueError):
+                parse_test_function(text)
+
+    def test_cosine_spec_keeps_quarter_turns(self):
+        f = ScaledCosine()
+        assert f.spec() == "cos:1.0,1.0"
+        assert f.derivative(1).spec() == "cos:1.0,1.0,1"
+        assert parse_test_function("cos:2,1/2,3") == ScaledCosine(2.0, 0.5, 3)
+
+    def test_negative_derivative_order_raises(self):
+        for f in (Polynomial([0, 1]), ScaledCosine()):
+            with pytest.raises(ValueError, match="derivative order"):
+                f.derivative(-1)
+            assert f.derivative(0) == f
+
+    def test_out_sharing_memory_with_x_raises(self):
+        x = np.linspace(-1.0, 1.0, 12)
+        for f in (Polynomial([1, 2, 3]), ScaledCosine(2.0, 3.0, 1)):
+            expected = f(x)
+            for out in (x, x[::-1]):
+                with pytest.raises(ValueError, match="share memory"):
+                    f(x, out=out)
+            assert np.array_equal(x, np.linspace(-1.0, 1.0, 12))
+            assert np.array_equal(f(x, out=np.empty_like(x)), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -556,3 +579,19 @@ class TestInPlaceKernels:
     )
     def test_riemann_sums_equal_per_step_form(self, values, f, scheme):
         assert_same_bits(riemann_sums(values, f, scheme), per_step_riemann_sums(values, f, scheme))
+
+
+# ---------------------------------------------------------------------------
+# text form of the test functions
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSpecRoundTrip:
+    @given(
+        f=st.lists(st.fractions(), max_size=12).map(Polynomial)
+        | st.builds(ScaledCosine, FINITE, FINITE, st.integers(-8, 8))
+    )
+    def test_parse_inverts_spec(self, f):
+        assert parse_test_function(f.spec()) == f

@@ -1,10 +1,17 @@
 """Statistics helpers: calibration oracles and exactness checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogorov as scipy_kolmogorov
+from scipy.special import ndtr as scipy_ndtr
 
 from fbmquad import (
     correlation,
@@ -13,6 +20,9 @@ from fbmquad import (
     ks_test_normal,
     summarize,
 )
+from fbmquad.stats import _ndtr
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------------------
 # moment summaries
@@ -61,6 +71,45 @@ class TestKolmogorovPValue:
     def test_limits(self):
         assert kolmogorov_p_value(0.0) == 1.0
         assert kolmogorov_p_value(10.0) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestNormalCdf:
+    @settings(max_examples=1000)
+    @given(a=st.floats(-40.0, 40.0))
+    @example(0.0)
+    @example(-0.0)
+    @example(1.0)
+    @example(-1.0)
+    @example(math.sqrt(2.0))
+    @example(-math.sqrt(2.0))
+    @example(8.0 * math.sqrt(2.0))
+    @example(-8.0 * math.sqrt(2.0))
+    @example(37.7)
+    @example(-37.7)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_bit_equal_to_scipy(self, a):
+        # +-1 is ndtr's erf/erfc switch, +-sqrt 2 erfc's x < 1 edge and
+        # +-8 sqrt 2 its x < 8 edge; past +-37.7, exp(-a^2 / 2) underflows (MAXLOG)
+        ours, theirs = np.float64(_ndtr(a)), np.float64(scipy_ndtr(a))
+        assert ours.view(np.uint64) == theirs.view(np.uint64)
+
+    def test_nan_propagates(self):
+        assert math.isnan(_ndtr(math.nan))
+
+    def test_runtime_imports_no_scipy(self):
+        code = (
+            "import sys, fbmquad, fbmquad.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestKsTestNormal:
