@@ -39,11 +39,12 @@ from .pathgen import (
     write_path_csv,
 )
 from .schemes import (
+    ErrorDecomposition,
     Polynomial,
     ScaledCosine,
     SchemeKind,
-    SimpsonDecomposition,
     TestFunction,
+    error_decomposition,
     error_statistic,
     parse_test_function,
     riemann_sum,
@@ -73,7 +74,7 @@ __all__ = [
     "TestFunction",
     "Polynomial",
     "ScaledCosine",
-    "SimpsonDecomposition",
+    "ErrorDecomposition",
     "ChaosExpansion",
     "KappaResult",
     "KsResult",
@@ -95,6 +96,7 @@ __all__ = [
     "power_to_hermite",
     "riemann_sum",
     "error_statistic",
+    "error_decomposition",
     "simpson_error_decomposition",
     "parse_test_function",
     "kappa",

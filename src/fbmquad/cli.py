@@ -31,9 +31,9 @@ from .pathgen import FbmPath, GeneratorKind, generate, write_path_csv
 from .schemes import (
     SchemeKind,
     cut_levels,
+    error_decomposition,
     parse_test_function,
     riemann_sum,
-    simpson_error_decomposition,
 )
 
 
@@ -123,8 +123,7 @@ def _experiment_flags(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--tol", type=float, help="constants tolerance")
     p.add_argument("--out", help="write per-replication CSV here")
     p.add_argument("--csv", action="store_true", help="emit per-replication CSV on stdout")
-    if name != "clt":
-        p.add_argument("--scheme", choices=[s.value for s in SchemeKind])
+    p.add_argument("--scheme", choices=[s.value for s in SchemeKind])
     if name == "rate":
         p.add_argument("--slope-tol", type=float)
 
@@ -212,14 +211,9 @@ def _cmd_integrate(args) -> int:
         "increment_of_f": increment_of_f,
         "residual": value - increment_of_f,
     }
-    if scheme is SchemeKind.SIMPSON and f.degree is not None and f.degree <= 10:
-        d = simpson_error_decomposition(path, f, t)
-        payload["decomposition"] = {
-            "main": d.main,
-            "term5": d.term5,
-            "term7": d.term7,
-            "term9": d.term9,
-        }
+    if f.degree is not None and f.degree <= 10:
+        d = error_decomposition(path, f, scheme, t)
+        payload["decomposition"] = {"main": d.main} | {f"term{r}": v for r, v in d.terms.items()}
     print(canonical_json(payload))
     _log_timing("integrate", started)
     return 0

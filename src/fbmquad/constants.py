@@ -5,12 +5,15 @@ The lattice sums
     kappa_m(H) = sum_{p in Z} rho(p, H)^m        (m odd, m(2 - 2H) > 1)
 
 converge because |rho(p)| <= 2H|2H - 1| (|p| - 1)^{2H - 2} for |p| >= 2 (mean
-value estimate for the second difference of x^{2H}).  The standard-deviation
-constant of the critical Simpson fluctuation is
+value estimate for the second difference of x^{2H}).  A scheme whose leading
+error term is sum_j f^(r)(mid_j) dB_j^r has, at its critical exponent
+H = 1/(2r), the variance constant
 
-    beta(H) = sqrt(5! 2^{-5} kappa_5(H) + 75 kappa_3(H)),
+    beta_r^2 = sum_{q = r, r-2, ..., 3} w_q kappa_q(H),   w_q = C(r, p)^2 q! 2^{-q},
 
-evaluated at H = 1/10 in the headline experiment.  Truncation points are
+with x^r = sum_p C(r, p) H_{r-2p}(x) and q = r - 2p (``power_to_hermite``); the
+q = 1 chaos telescopes and does not enter.  Simpson's r = 5 gives the paper's
+beta, evaluated at H = 1/10 in the headline experiment.  Truncation points are
 chosen from the analytic tail bound, and terms are accumulated smallest
 first with compensated summation (kappa_5 terms span ~14 orders of
 magnitude).
@@ -20,8 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .covariance import rho
+from .hermite import power_to_hermite
 
 #: Floor on the truncation point so the bound's |p| >= 2 regime always applies.
 _MIN_TRUNCATION = 4
@@ -69,7 +74,7 @@ def kappa(m: int, H: float, tol: float = 1e-10) -> KappaResult:
 
 
 def beta(H: float = 0.1, tol: float = 1e-10) -> float:
-    """Standard-deviation constant sqrt(5! 2^{-5} kappa_5 + 75 kappa_3)."""
+    """The paper's standard-deviation constant beta_5, for Simpson sums."""
     radicand = beta_squared(*beta_terms(H, tol))
     if radicand <= 0.0:
         # The radicand is a limit variance, hence nonnegative; reaching this
@@ -78,14 +83,25 @@ def beta(H: float = 0.1, tol: float = 1e-10) -> float:
     return math.sqrt(radicand)
 
 
-def beta_squared(k5: KappaResult, k3: KappaResult) -> float:
-    """The limit variance constant beta^2 = 5! 2^{-5} kappa_5 + 75 kappa_3."""
-    return 120.0 / 32.0 * k5.value + 75.0 * k3.value
+def beta_squared(*kappas: KappaResult) -> float:
+    """The limit variance constant beta_r^2 = sum_q w_q kappa_q over the sums of ``beta_terms``."""
+    weights = dict(_chaos_weights(max(k.m for k in kappas)))
+    return sum(float(weights[k.m]) * k.value for k in kappas)
 
 
-def beta_terms(H: float, tol: float = 1e-10) -> tuple[KappaResult, KappaResult]:
-    """The two lattice sums entering beta, each truncated so beta is within tol."""
-    # |d beta| <= (3.75 |d kappa_5| + 75 |d kappa_3|) / (2 beta), beta > 1 here
-    k5 = kappa(5, H, tol / 7.5)
-    k3 = kappa(3, H, tol / 150.0)
-    return k5, k3
+def beta_terms(H: float, tol: float = 1e-10, r: int = 5) -> tuple[KappaResult, ...]:
+    """The lattice sums kappa_q, q = r, r-2, ..., 3, entering beta_r, each truncated so beta_r is within tol."""
+    # kappa_q within tol / (2 w_q) moves beta_r^2 by at most (r-1)/4 tol, hence
+    # beta_r = sqrt(beta_r^2) by at most tol when beta_r >= (r-1)/8
+    return tuple(kappa(q, H, tol / float(2 * w)) for q, w in _chaos_weights(r))
+
+
+def _chaos_weights(r: int) -> list[tuple[int, Fraction]]:
+    """(q, w_q) with w_q = C(r, p)^2 q! 2^{-q}, for q = r - 2p = r, r-2, ..., 3."""
+    if r < 3:
+        raise ValueError(f"error power must be an odd integer >= 3, got {r}")
+    return [
+        (r - 2 * p, Fraction(c * c * math.factorial(r - 2 * p), 2 ** (r - 2 * p)))
+        for p, c in enumerate(power_to_hermite(r).coeffs)
+        if r - 2 * p >= 3
+    ]

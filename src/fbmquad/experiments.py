@@ -2,10 +2,11 @@
 
 Three experiments, all deterministic functions of their configuration:
 
-- ``run_clt_experiment``: at the Simpson-critical Hurst exponent the quintic
-  error statistic converges in law to an independent centered Gaussian with
-  variance beta^2 integral f^(5)(B_s)^2 ds; checked through its variance, a
-  KS test, correlation with the terminal level, and a mean gate.
+- ``run_clt_experiment``: at a scheme's critical Hurst exponent 1/(2r), with
+  r its leading error power, the error statistic sum_j f^(r)(mid_j) dB_j^r
+  converges in law to an independent centered Gaussian with variance
+  beta_r^2 integral f^(r)(B_s)^2 ds; checked through its variance, a KS test,
+  correlation with the terminal level, and a mean gate.
 - ``run_rate_experiment``: above a scheme's critical exponent the squared
   residual decays like n^{1 - 2rH} with r the scheme's leading error power;
   checked by a log-log slope fit.
@@ -152,11 +153,6 @@ class ExperimentConfig:
         }
 
     @classmethod
-    def from_file(cls, path_or_stream) -> "ExperimentConfig":
-        """Parse the ``key = value`` config format (same keys as the CLI flags)."""
-        return cls.from_mapping(read_config(path_or_stream))
-
-    @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Build a config from config-file keys, which are also the CLI flag names.
 
@@ -233,11 +229,11 @@ def canonical_json(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
-def predicted_error_variance(H: float, n: int, t: float, c: float = 1.0) -> float:
-    """Exact Var(c * sum_j dB_j^5) at finite n, via the chaos decomposition.
+def predicted_error_variance(H: float, n: int, t: float, r: int, c: float = 1.0) -> float:
+    """Exact Var(c * sum_j dB_j^r) at finite n, via the chaos decomposition.
 
-    Splitting the fifth power over the Hermite basis gives pairwise moments
-    E[X^5 Y^5] = sum_p C(5,p)^2 q_p! Cov^{q_p} Var^{5-q_p} with q_p = 5 - 2p,
+    Splitting the r-th power over the Hermite basis gives pairwise moments
+    E[X^r Y^r] = sum_p C(r,p)^2 q_p! Cov^{q_p} Var^{r-q_p} with q_p = r - 2p,
     so the variance reduces to lag sums of the increment autocovariance.
     """
     m = floor_index(n, t)
@@ -246,10 +242,10 @@ def predicted_error_variance(H: float, n: int, t: float, c: float = 1.0) -> floa
     half_rho = rho(lags, H) / 2.0
     v = float(n) ** (-2.0 * H)
     total = 0.0
-    for p, coeff in enumerate(power_to_hermite(5).coeffs):
-        q = 5 - 2 * p
+    for p, coeff in enumerate(power_to_hermite(r).coeffs):
+        q = r - 2 * p
         lag_sum = float(np.sum(weights * half_rho**q))
-        total += coeff**2 * math.factorial(q) * v ** (5 - q) * v**q * lag_sum
+        total += coeff**2 * math.factorial(q) * v ** (r - q) * v**q * lag_sum
     return c * c * total
 
 
@@ -384,21 +380,23 @@ def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Distributional check of the critical-case Gaussian limit.
 
-    The statistic is n^{(10H-1)/2} sum_j f^(5)(mid_j) dB_j^5 (the exponent is
-    zero at the critical H = 1/10).  With constant f^(5) = c the limit is an
-    unconditional N(0, c^2 beta^2 t); otherwise only the variance is compared,
-    against beta^2 times the Monte Carlo mean of integral f^(5)(B_s)^2 ds.
+    With r the scheme's error power, the statistic is
+    n^{(2rH-1)/2} sum_j f^(r)(mid_j) dB_j^r (the exponent is zero at the
+    critical H = 1/(2r)).  With constant f^(r) = c the limit is an
+    unconditional N(0, c^2 beta_r^2 t); otherwise only the variance is
+    compared, against beta_r^2 times the Monte Carlo mean of
+    integral f^(r)(B_s)^2 ds.
     """
-    if config.scheme is not SchemeKind.SIMPSON:
-        raise ValueError("the critical-case experiment is defined for the Simpson scheme")
     if not 0.0 < config.H <= 0.5:
         raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
     started = time.perf_counter()
-    k5, k3 = beta_terms(config.H, config.constants_tol)
-    beta_sq = beta_squared(k5, k3)
-    f5 = config.f.derivative(5)
-    c = constant_value(f5)
-    constant_f5 = c is not None
+    r = config.scheme.error_power
+    kappas = beta_terms(config.H, config.constants_tol, r)
+    beta_sq = beta_squared(*kappas)
+    exponent = (2 * r * config.H - 1.0) / 2.0
+    fr = config.f.derivative(r)
+    c = constant_value(fr)
+    constant_fr = c is not None
     degenerate = c == 0.0
 
     results = []
@@ -407,25 +405,25 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     sigma2 = None
     for i, n in enumerate(config.n_values):
         grid = HurstGrid(config.H, n, T=config.t)
-        scale = float(n) ** ((10.0 * config.H - 1.0) / 2.0)
+        scale = float(n) ** exponent
 
         def per_chunk(values: np.ndarray) -> dict:
             out = {
-                "stat": scale * midpoint_power_sums(values, f5, 5),
+                "stat": scale * midpoint_power_sums(values, fr, r),
                 "b_end": values[:, -1].copy(),
             }
-            if not constant_f5:
-                out["f5_sq_integral"] = midpoint_power_sums(values, lambda x: f5(x) ** 2, 0) / n
+            if not constant_fr:
+                out["fr_sq_integral"] = midpoint_power_sums(values, lambda x: fr(x) ** 2, 0) / n
             return out
 
         data = _run_replicated(config, grid, i, per_chunk)
         stat, b_end = data["stat"], data["b_end"]
         summary = summarize(stat)
-        if constant_f5:
+        if constant_fr:
             sigma2 = c * c * beta_sq * config.t
-            predicted = scale * scale * predicted_error_variance(config.H, n, config.t, c)
+            predicted = scale * scale * predicted_error_variance(config.H, n, config.t, r, c)
         else:
-            sigma2 = beta_sq * float(np.mean(data["f5_sq_integral"]))
+            sigma2 = beta_sq * float(np.mean(data["fr_sq_integral"]))
             predicted = None
         entry = {
             "n": int(n),
@@ -446,7 +444,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
             ratio_errors.append(0.0)
         else:
             entry["degenerate"] = False
-            if constant_f5:
+            if constant_fr:
                 ks = ks_test_normal(stat, sigma2)
                 entry["ks_statistic"] = ks.statistic
                 entry["ks_p_value"] = ks.p_value
@@ -488,12 +486,11 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "experiment": "clt",
         "config": config.echo(),
         "constants": {
-            "kappa3": k3.value,
-            "kappa5": k5.value,
+            **{f"kappa{k.m}": k.value for k in reversed(kappas)},
             "beta": math.sqrt(beta_sq),
             "beta_squared": beta_sq,
         },
-        "statistic_scale_exponent": (10.0 * config.H - 1.0) / 2.0,
+        "statistic_scale_exponent": exponent,
         "results": results,
         "verdicts": verdicts,
         "overall_pass": all(verdicts.values()),
@@ -625,9 +622,13 @@ def _residual_sweep(config: ExperimentConfig, center: bool = False):
 
 
 def _plateau_level(config: ExperimentConfig) -> float:
-    """Predicted critical-case residual variance: (c beta / 2880)^2 t for constant f^(5)."""
-    c = constant_value(config.f.derivative(5))
+    """Predicted critical-case residual variance (a_r c beta_r)^2 t for constant f^(r) = c.
+
+    r is the scheme's error power and a_r its leading error coefficient.
+    """
+    r = config.scheme.error_power
+    c = constant_value(config.f.derivative(r))
     if c is None:
-        raise ValueError("the critical divergence probe needs constant f^(5)")
-    beta_sq = beta_squared(*beta_terms(config.H, config.constants_tol))
-    return c * c * beta_sq * config.t / 2880.0**2
+        raise ValueError(f"the critical divergence probe needs constant f^({r})")
+    beta_sq = beta_squared(*beta_terms(config.H, config.constants_tol, r))
+    return c * c * beta_sq * config.t / float(1 / config.scheme.error_coefficients[r]) ** 2

@@ -1,47 +1,55 @@
 """Riemann-sum quadrature schemes applied to sampled paths.
 
 Four composite rules, each evaluating f' at affine nodes B_j + c * dB_j inside
-every increment and weighting so the weights sum to one:
+every increment and weighting so the weights sum to one: midpoint (node 1/2),
+trapezoid (nodes 0, 1), Simpson (nodes 0, 1/2, 1; weights 1/6, 4/6, 1/6) and
+Milne, i.e. Boole (nodes 0, 1/4, 1/2, 3/4, 1; weights 7, 32, 12, 32, 7 over 90).
 
-- midpoint (node 1/2), trapezoid (nodes 0, 1): exact when f is a polynomial of
-  degree <= 2, convergent for H > 1/6;
-- Simpson (nodes 0, 1/2, 1; weights 1/6, 4/6, 1/6): exact for degree <= 4,
-  convergent for H > 1/10;
-- Milne, i.e. Boole (nodes 0, 1/4, 1/2, 3/4, 1; weights 7, 32, 12, 32, 7 over
-  90): exact for degree <= 6, convergent for H > 1/14.
+The table holds only the nodes and weights; every error law follows from them.
+Expanding both f' at the nodes and f(B_{j+1}) - f(B_j) about the midpoint
+gives, per increment and exactly for polynomial f,
 
-For the Simpson rule the per-increment error admits an exact midpoint Taylor
-decomposition: with h = dB/2,
+    f(B_{j+1}) - f(B_j) = sum_w weight_w f'(B_j + c_w dB_j) dB_j
+                          - sum_{odd r >= 3} a_r f^(r)(mid_j) dB_j^r,
+    a_r = S_{r-1} / (r-1)! - 2^{1-r} / r!,   S_i = sum_w weight_w (c_w - 1/2)^i.
 
-    f(B_{j+1}) - f(B_j) = (h/3)(f'(B_j) + 4 f'(mid) + f'(B_{j+1}))
-        - f^(5)(mid) h^5 / 90 - f^(7)(mid) h^7 / 1890 - f^(9)(mid) h^9 / 90720,
+Even r drop out because every rule is symmetric about 1/2, and a_1 = 0 because
+the weights sum to one.  A polynomial of degree <= 10 has no term past r = 9.
+The exact coefficients are computed once per scheme, when the table is
+built.  Simpson's are the paper's constants at r = 5, 7, 9; the others begin
 
-an identity for polynomials of degree <= 10 (the order-11 remainder vanishes).
-Expressed against dB^k instead of h^k the three error coefficients pick up
-factors 2^-5, 2^-7, 2^-9.
+    rule       r = 3    r = 5      r = 7
+    midpoint   -1/24    -1/1920    -1/322560
+    trapezoid  1/12     1/480      1/53760
+    Milne      0        0          1/1935360
+
+The first nonzero coefficient fixes the rest: the error power r, the
+exactness degree r - 1, and the critical Hurst exponent 1/(2r) at or below
+which the sums stop converging in probability (1/6, 1/6, 1/10, 1/14).
 
 Each formula is written once, as a row-wise kernel over an (N, m+1) array of
 path levels: ``riemann_sums`` for the composite rules and
 ``midpoint_power_sums`` for sum_j g(mid_j) dB_j^r, which serves the error
-statistic and the Simpson error terms.  The single-path functions run these
-kernels on the path cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
+statistic and the error terms.  The single-path functions run these kernels
+on the path cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .covariance import floor_index
 from .pathgen import FbmPath
 
-#: Coefficients of the Simpson error terms against dB^5, dB^7, dB^9.
-SIMPSON_DB5_COEF = 1.0 / 2880.0
-SIMPSON_DB7_COEF = 1.0 / 241920.0
-SIMPSON_DB9_COEF = 1.0 / 46448640.0
+#: Odd powers r of the error terms sum_j f^(r)(mid_j) dB_j^r that the error
+#: decomposition keeps; with them it is exact for f of degree <= 10.
+ERROR_POWERS = (3, 5, 7, 9)
 
 F = Fraction
 
@@ -55,45 +63,63 @@ class SchemeKind(Enum):
     @property
     def offsets(self) -> tuple[Fraction, ...]:
         """Node positions inside an increment, as fractions of dB."""
-        return _SCHEMES[self][0]
+        return _SCHEMES[self].offsets
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
         """Node weights; sum to 1 exactly."""
-        return _SCHEMES[self][1]
+        return _SCHEMES[self].weights
 
     @property
-    def critical_hurst(self) -> Fraction:
-        """Hurst threshold at or below which the rule stops converging in probability."""
-        return _SCHEMES[self][2]
+    def error_coefficients(self) -> dict[int, Fraction]:
+        """Exact a_r for r in ERROR_POWERS: the rule's error is sum_r a_r f^(r)(mid) dB^r."""
+        return dict(_SCHEMES[self].error_coefficients)
 
     @property
     def error_power(self) -> int:
         """Power r of dB in the leading error term sum f^(r)(mid) dB^r."""
-        return _SCHEMES[self][3]
+        return _SCHEMES[self].error_power
+
+    @property
+    def critical_hurst(self) -> Fraction:
+        """Hurst threshold 1/(2r) at or below which the rule stops converging in probability."""
+        return F(1, 2 * self.error_power)
 
     @property
     def exact_degree(self) -> int:
         """Largest polynomial degree of f reproduced exactly on any path."""
-        return _SCHEMES[self][4]
+        return self.error_power - 1
+
+
+class _Rule(NamedTuple):
+    offsets: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...]
+    error_coefficients: tuple[tuple[int, Fraction], ...]  # (r, a_r), r in ERROR_POWERS
+    error_power: int
+    error_terms: tuple[tuple[int, float], ...]  # (r, float(a_r)) from the error power on
+
+
+def _rule(offsets, weights) -> _Rule:
+    """A table row: the nodes and weights, and the error law they imply."""
+    offsets = tuple(F(c) for c in offsets)
+    weights = tuple(F(w) for w in weights)
+
+    def coefficient(r: int) -> Fraction:
+        moment = sum(w * (c - F(1, 2)) ** (r - 1) for c, w in zip(offsets, weights))
+        return moment / math.factorial(r - 1) - F(2) ** (1 - r) / math.factorial(r)
+
+    coefficients = tuple((r, coefficient(r)) for r in ERROR_POWERS)
+    power = next(r for r, a in coefficients if a)
+    terms = tuple((r, float(a)) for r, a in coefficients if r >= power)
+    return _Rule(offsets, weights, coefficients, power, terms)
 
 
 _SCHEMES = {
-    SchemeKind.MIDPOINT: ((F(1, 2),), (F(1),), F(1, 6), 3, 2),
-    SchemeKind.TRAPEZOID: ((F(0), F(1)), (F(1, 2), F(1, 2)), F(1, 6), 3, 2),
-    SchemeKind.SIMPSON: (
-        (F(0), F(1, 2), F(1)),
-        (F(1, 6), F(4, 6), F(1, 6)),
-        F(1, 10),
-        5,
-        4,
-    ),
-    SchemeKind.MILNE: (
-        (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
-        (F(7, 90), F(32, 90), F(12, 90), F(32, 90), F(7, 90)),
-        F(1, 14),
-        7,
-        6,
+    SchemeKind.MIDPOINT: _rule([F(1, 2)], [1]),
+    SchemeKind.TRAPEZOID: _rule([0, 1], [F(1, 2), F(1, 2)]),
+    SchemeKind.SIMPSON: _rule([0, F(1, 2), 1], [F(1, 6), F(4, 6), F(1, 6)]),
+    SchemeKind.MILNE: _rule(
+        [0, F(1, 4), F(1, 2), F(3, 4), 1], [F(w, 90) for w in (7, 32, 12, 32, 7)]
     ),
 }
 
@@ -315,8 +341,8 @@ def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.nd
 def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
     """Row-wise sum_j g(mid_j) dB_j^r over an (N, m+1) array of path levels.
 
-    With g = f^(r), r = 5 gives the error statistic and r = 5, 7, 9 the Simpson
-    error terms; r = 0 gives n times the midpoint rule for integral g(B_s) ds.
+    With g = f^(r) it gives the error statistic and the error terms of
+    ``error_decomposition``; r = 0 gives n times the midpoint rule for integral g(B_s) ds.
     dB^r is formed by in-place square-and-multiply, because ``db**r`` goes
     through libm ``pow`` at many times the cost.  A constant g skips the
     midpoints and is not evaluated.
@@ -346,22 +372,29 @@ def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class SimpsonDecomposition:
-    """Exact split of a Simpson sum: main - term5 - term7 - term9 telescopes to f(B_end) - f(0)."""
+class ErrorDecomposition:
+    """Exact split of a composite Riemann sum: ``main`` minus every term telescopes to f(B_end) - f(0).
+
+    ``terms[r]`` is a_r sum_j f^(r)(mid_j) dB_j^r, for r from the scheme's
+    error power to 9 in increasing order.
+    """
 
     main: float
-    term5: float
-    term7: float
-    term9: float
+    terms: dict[int, float]
 
     def telescoped(self) -> float:
-        return self.main - self.term5 - self.term7 - self.term9
+        total = self.main
+        for term in self.terms.values():
+            total -= term
+        return total
 
 
-def simpson_error_decomposition(path: FbmPath, f: TestFunction, t: float) -> SimpsonDecomposition:
-    """Split the Simpson sum into its exact midpoint-Taylor error terms.
+def error_decomposition(
+    path: FbmPath, f: TestFunction, kind: SchemeKind, t: float
+) -> ErrorDecomposition:
+    """Split the scheme's Riemann sum up to floor(nt)/n into its exact midpoint-Taylor error terms.
 
-    Requires a polynomial f of degree <= 10 so the order-11 remainder vanishes
+    Requires a polynomial f of degree <= 10 so every term past r = 9 vanishes
     identically and the decomposition is an exact pathwise identity.
     """
     if f.degree is None:
@@ -369,12 +402,17 @@ def simpson_error_decomposition(path: FbmPath, f: TestFunction, t: float) -> Sim
     if f.degree > 10:
         raise ValueError(f"decomposition requires degree <= 10, got {f.degree}")
     values = cut_levels(path, t)
-    main = float(riemann_sums(values, f, SchemeKind.SIMPSON)[0])
-    term5, term7, term9 = (
-        coef * float(midpoint_power_sums(values, f.derivative(r), r)[0])
-        for coef, r in ((SIMPSON_DB5_COEF, 5), (SIMPSON_DB7_COEF, 7), (SIMPSON_DB9_COEF, 9))
-    )
-    return SimpsonDecomposition(main=main, term5=term5, term7=term7, term9=term9)
+    main = float(riemann_sums(values, f, kind)[0])
+    terms = {
+        r: coef * float(midpoint_power_sums(values, f.derivative(r), r)[0])
+        for r, coef in _SCHEMES[kind].error_terms
+    }
+    return ErrorDecomposition(main=main, terms=terms)
+
+
+def simpson_error_decomposition(path: FbmPath, f: TestFunction, t: float) -> ErrorDecomposition:
+    """``error_decomposition`` of the Simpson sum, the paper's telescoping identity."""
+    return error_decomposition(path, f, SchemeKind.SIMPSON, t)
 
 
 def cut_levels(path: FbmPath, t: float) -> np.ndarray:

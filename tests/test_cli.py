@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmquad import ExperimentConfig
+from fbmquad import ExperimentConfig, SchemeKind
 from fbmquad.cli import _build_parser, _config_from_args, main
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,21 @@ class TestIntegrateCommand:
         assert abs(payload["residual"]) <= 1e-10 * max(1.0, abs(payload["increment_of_f"]))
         assert payload["decomposition"]["term5"] == 0.0
 
+    def test_decomposition_for_every_scheme(self, capsys):
+        for scheme in ("midpoint", "trapezoid", "simpson", "milne"):
+            code, out, _ = run_cli(
+                capsys,
+                "integrate", "--H", "0.2", "--n", "64", "--seed", "4",
+                "--scheme", scheme, "--f", "1,-2,0,3,0,0,0,1,0,1,2",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            d = payload["decomposition"]
+            power = SchemeKind(scheme).error_power
+            assert list(d) == ["main"] + [f"term{r}" for r in range(power, 10, 2)]
+            telescoped = d["main"] - sum(v for k, v in d.items() if k != "main")
+            assert telescoped == pytest.approx(payload["increment_of_f"], rel=1e-9, abs=1e-9)
+
     def test_bad_function_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "integrate", "--H", "0.2", "--n", "64", "--f", "1,zzz"
@@ -131,6 +146,22 @@ class TestExperimentCommands:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_clt_takes_scheme_flag(self, capsys):
+        argv = ["clt", "--H", "0.1", "--n", "16", "--M", "100", "--seed", "7"]
+        _, default_out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--scheme", "simpson")
+        assert code in (0, 1)
+        assert out == default_out
+        code, out, _ = run_cli(
+            capsys,
+            "clt", "--H", repr(1 / 6), "--n", "16", "--M", "100", "--seed", "7",
+            "--scheme", "midpoint", "--f", "0,0,0,1/6",
+        )
+        assert code in (0, 1)
+        payload = json.loads(out)
+        assert payload["config"]["scheme"] == "midpoint"
+        assert list(payload["constants"]) == ["kappa3", "beta", "beta_squared"]
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "probe.cfg"

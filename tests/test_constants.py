@@ -104,11 +104,26 @@ class TestBeta:
     def test_critical_value(self):
         expected = math.sqrt(120.0 / 32.0 * KAPPA5_BRUTE + 75.0 * KAPPA3_BRUTE)
         assert beta(0.1, 1e-10) == pytest.approx(expected, abs=1e-9)
+        # the general weights reproduce the paper's constant to the last bit
+        assert beta_squared(*beta_terms(0.1, 1e-9)) == 624.0809205740461
 
     def test_beta_squared_at_brownian_point(self):
         # kappa_m(1/2) = 2^m exactly: 3.75 * 32 + 75 * 8 = 720
         assert beta_squared(*beta_terms(0.5)) == 720.0
         assert beta(0.1) == math.sqrt(beta_squared(*beta_terms(0.1)))
+        # for every error power r, beta_r^2 at H = 1/2 is Var(N^r) less its
+        # first-chaos part: (2r-1)!! - (r!!)^2
+        for r, expected in ((3, 6.0), (5, 720.0), (7, 124110.0), (9, 33566400.0)):
+            kappas = beta_terms(0.5, r=r)
+            assert [k.m for k in kappas] == list(range(r, 1, -2))
+            assert beta_squared(*kappas) == expected
+            double_factorial = math.prod(range(2 * r - 1, 0, -2))
+            assert expected == double_factorial - math.prod(range(r, 0, -2)) ** 2
+
+    def test_invalid_error_power(self):
+        for r in (1, 4, 13):
+            with pytest.raises(ValueError):
+                beta_terms(0.1, r=r)
 
     def test_stability_under_tolerance_tightening(self):
         assert abs(beta(0.1, 1e-8) - beta(0.1, 1e-12)) < 1e-6

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from fbmquad import (
     ExperimentConfig,
+    experiments,
     GeneratorKind,
     HurstGrid,
     Polynomial,
     ScaledCosine,
     SchemeKind,
+    beta_squared,
+    beta_terms,
     canonical_json,
     partial_interval_second_moment,
     predicted_error_variance,
@@ -25,6 +28,7 @@ from fbmquad import (
     run_divergence_probe,
     run_rate_experiment,
 )
+from fbmquad.experiments import read_config
 from fbmquad.pathgen import generate_batch, replication_seeds
 
 QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
@@ -103,7 +107,7 @@ class TestConfig:
         """
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(text)
-        cfg = ExperimentConfig.from_file(cfg_file)
+        cfg = ExperimentConfig.from_mapping(read_config(cfg_file))
         assert cfg.H == 0.1
         assert cfg.n_values == (64, 128)
         assert cfg.replications == 120
@@ -117,13 +121,13 @@ class TestConfig:
         bad = tmp_path / "bad.cfg"
         bad.write_text("H = 0.1\nwhat = 3\nn = 64,128\n")
         with pytest.raises(ValueError):
-            ExperimentConfig.from_file(bad)
+            ExperimentConfig.from_mapping(read_config(bad))
         bad.write_text("n = 64,128\n")
         with pytest.raises(ValueError):
-            ExperimentConfig.from_file(bad)
+            ExperimentConfig.from_mapping(read_config(bad))
         bad.write_text("H 0.1\n")
         with pytest.raises(ValueError):
-            ExperimentConfig.from_file(bad)
+            ExperimentConfig.from_mapping(read_config(bad))
 
     def test_echo_round_trips_through_json(self):
         cfg = ExperimentConfig(H=0.1, n_values=(64,), replications=100)
@@ -187,7 +191,8 @@ class TestDeterminism:
 
 class TestPredictedVariance:
     def test_against_gauss_hermite_oracle_at_tiny_n(self):
-        # independent oracle: 2-d Gauss-Hermite for E[X^5 Y^5] summed over pairs
+        # independent oracle: 2-d Gauss-Hermite for E[X^r Y^r] summed over
+        # pairs, for the error powers of midpoint, Simpson and Milne
         H, n = 0.1, 4
         grid = HurstGrid(H, n)
         from fbmquad import increment_gram
@@ -195,20 +200,21 @@ class TestPredictedVariance:
         gram = increment_gram(grid)
         nodes, weights = np.polynomial.hermite_e.hermegauss(24)
         weights = weights / math.sqrt(2 * math.pi)
-        total = 0.0
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    std = math.sqrt(gram[j, j])
-                    total += float(np.sum(weights * (std * nodes) ** 10))
-                    continue
-                l11 = math.sqrt(gram[j, j])
-                l21 = gram[j, k] / l11
-                l22 = math.sqrt(gram[k, k] - l21**2)
-                u, v = np.meshgrid(nodes, nodes, indexing="ij")
-                w2 = np.outer(weights, weights)
-                total += float(np.sum(w2 * (l11 * u) ** 5 * (l21 * u + l22 * v) ** 5))
-        assert predicted_error_variance(H, n, 1.0) == pytest.approx(total, rel=1e-10)
+        for r in (3, 5, 7):
+            total = 0.0
+            for j in range(n):
+                for k in range(n):
+                    if j == k:
+                        std = math.sqrt(gram[j, j])
+                        total += float(np.sum(weights * (std * nodes) ** (2 * r)))
+                        continue
+                    l11 = math.sqrt(gram[j, j])
+                    l21 = gram[j, k] / l11
+                    l22 = math.sqrt(gram[k, k] - l21**2)
+                    u, v = np.meshgrid(nodes, nodes, indexing="ij")
+                    w2 = np.outer(weights, weights)
+                    total += float(np.sum(w2 * (l11 * u) ** r * (l21 * u + l22 * v) ** r))
+            assert predicted_error_variance(H, n, 1.0, r) == pytest.approx(total, rel=1e-10)
 
     def test_monte_carlo_agreement(self):
         H, n, reps = 0.1, 64, 40_000
@@ -220,13 +226,16 @@ class TestPredictedVariance:
         est = stat.var(ddof=1)
         fourth = np.mean((stat - stat.mean()) ** 4)
         se = math.sqrt((fourth - est**2) / reps)
-        assert abs(est - predicted_error_variance(H, n, 1.0)) <= 4.0 * se
+        assert abs(est - predicted_error_variance(H, n, 1.0, 5)) <= 4.0 * se
 
     def test_approaches_beta_squared(self):
         from fbmquad import beta
 
         target = beta(0.1) ** 2
-        errors = [abs(predicted_error_variance(0.1, n, 1.0) / target - 1.0) for n in (2**10, 2**12, 2**14)]
+        errors = [
+            abs(predicted_error_variance(0.1, n, 1.0, 5) / target - 1.0)
+            for n in (2**10, 2**12, 2**14)
+        ]
         assert errors[0] < 0.002
         assert errors == sorted(errors, reverse=True)
 
@@ -272,15 +281,30 @@ class TestPartialInterval:
 
 
 class TestCltExperiment:
-    def test_requires_simpson_and_valid_H(self):
-        with pytest.raises(ValueError):
-            run_clt_experiment(
-                ExperimentConfig(
-                    H=0.1, n_values=(16,), replications=100, scheme=SchemeKind.MILNE
+    def test_requires_valid_H(self):
+        for scheme in SchemeKind:
+            with pytest.raises(ValueError):
+                run_clt_experiment(
+                    ExperimentConfig(H=0.6, n_values=(16,), replications=100, scheme=scheme)
                 )
-            )
-        with pytest.raises(ValueError):
-            run_clt_experiment(ExperimentConfig(H=0.6, n_values=(16,), replications=100))
+
+    def test_midpoint_at_its_critical_exponent(self):
+        # the scheme's error power r = 3 sets the constants and the scaling;
+        # only deterministic fields are checked
+        H = 1 / 6
+        cfg = ExperimentConfig(
+            H=H,
+            n_values=(16, 32),
+            replications=100,
+            scheme=SchemeKind.MIDPOINT,
+            f=Polynomial([0, 0, 0, Fraction(1, 6)]),
+        )
+        payload = run_clt_experiment(cfg).payload
+        k3, = beta_terms(H, cfg.constants_tol, 3)
+        assert list(payload["constants"]) == ["kappa3", "beta", "beta_squared"]
+        assert payload["constants"]["kappa3"] == k3.value
+        assert payload["constants"]["beta_squared"] == beta_squared(k3) == 0.75 * k3.value
+        assert payload["statistic_scale_exponent"] == (6 * H - 1) / 2
 
     def test_degenerate_low_degree_function(self):
         cfg = ExperimentConfig(
@@ -301,7 +325,7 @@ class TestCltExperiment:
         for entry, n in zip(report.payload["results"], cfg.n_values):
             scale_sq = float(n) ** (10 * 0.5 - 1.0)
             predicted = entry["predicted_variance_exact"]
-            assert predicted == pytest.approx(scale_sq * predicted_error_variance(0.5, n, 1.0))
+            assert predicted == pytest.approx(scale_sq * predicted_error_variance(0.5, n, 1.0, 5))
             assert abs(entry["variance"] - predicted) <= 6.0 * entry["variance_se"]
             assert abs(entry["mean"]) <= 4.0 * math.sqrt(entry["variance"] / entry["count"])
         assert report.payload["verdicts"]["mean_final"]
@@ -381,6 +405,25 @@ class TestDivergenceProbe:
         plateau_note = report.payload["notes"][0]
         assert "plateau" in plateau_note
         assert report.payload["verdicts"]["non_vanishing"]
+
+    def test_plateau_level_from_leading_coefficient(self):
+        # (a_r c beta_r)^2 t for constant f^(r) = c, r the scheme's error power
+        for scheme, f, a_r in (
+            (SchemeKind.MIDPOINT, Polynomial([0, 0, 0, 1]), Fraction(-1, 24)),
+            (SchemeKind.SIMPSON, QUINTIC, Fraction(1, 2880)),
+            (SchemeKind.MILNE, Polynomial([0] * 7 + [1]), Fraction(1, 1935360)),
+        ):
+            r = scheme.error_power
+            H = float(scheme.critical_hurst)
+            cfg = ExperimentConfig(H=H, n_values=(16,), t=0.5, scheme=scheme, f=f)
+            c = float(f.derivative(r).coeffs[0])
+            beta_sq = beta_squared(*beta_terms(H, cfg.constants_tol, r))
+            expected = c * c * beta_sq * 0.5 * float(a_r) ** 2
+            assert experiments._plateau_level(cfg) == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(ValueError, match=r"f\^\(3\)"):
+            experiments._plateau_level(
+                ExperimentConfig(H=1 / 6, n_values=(16,), scheme=SchemeKind.TRAPEZOID)
+            )
 
     def test_above_threshold_control_decays(self):
         cfg = ExperimentConfig(

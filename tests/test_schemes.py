@@ -1,4 +1,4 @@
-"""Quadrature schemes: exactness degrees, the Simpson decomposition, decay."""
+"""Quadrature schemes: exactness degrees, the error decompositions, decay."""
 
 import dataclasses
 import math
@@ -19,6 +19,7 @@ from fbmquad import (
     Polynomial,
     ScaledCosine,
     SchemeKind,
+    error_decomposition,
     error_statistic,
     generate,
     generate_batch,
@@ -29,9 +30,7 @@ from fbmquad import (
 )
 from fbmquad.covariance import floor_index
 from fbmquad.schemes import (
-    SIMPSON_DB5_COEF,
-    SIMPSON_DB7_COEF,
-    SIMPSON_DB9_COEF,
+    ERROR_POWERS,
     constant_value,
     midpoint_power_sums,
     riemann_sums,
@@ -83,6 +82,24 @@ class TestSchemeTable:
 
     def test_exact_degrees(self):
         assert [s.exact_degree for s in SchemeKind] == [2, 2, 4, 6]
+
+    def test_derived_error_coefficients(self):
+        a = {s: s.error_coefficients for s in SchemeKind}
+        assert [a[SchemeKind.MIDPOINT][r] for r in (3, 5, 7)] == [
+            Fraction(-1, 24),
+            Fraction(-1, 1920),
+            Fraction(-1, 322560),
+        ]
+        assert [a[SchemeKind.TRAPEZOID][r] for r in (3, 5, 7)] == [
+            Fraction(1, 12),
+            Fraction(1, 480),
+            Fraction(1, 53760),
+        ]
+        assert [a[SchemeKind.MILNE][r] for r in (3, 5, 7)] == [0, 0, Fraction(1, 1935360)]
+        assert a[SchemeKind.SIMPSON][3] == 0
+        for scheme in SchemeKind:
+            assert list(a[scheme]) == list(ERROR_POWERS)
+            assert min(r for r, coef in a[scheme].items() if coef) == scheme.error_power
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +337,10 @@ class TestRiemannSum:
 # ---------------------------------------------------------------------------
 
 
+def _sympy(q: Fraction):
+    return sp.Rational(q.numerator, q.denominator)
+
+
 class TestSimpsonDecomposition:
     def test_error_coefficients_from_symbolic_integration(self):
         # A_{4+2nu-1} = (1/3) (2nu-1)!^{-1} int_0^1 v^{2nu} (1-v)^2 dv, nu = 1, 2, 3,
@@ -330,33 +351,40 @@ class TestSimpsonDecomposition:
             integral = sp.integrate(v ** (2 * nu) * (1 - v) ** 2, (v, 0, 1))
             halves.append(sp.Rational(1, 3) / sp.factorial(2 * nu - 1) * integral)
         assert halves == [sp.Rational(1, 90), sp.Rational(1, 1890), sp.Rational(1, 90720)]
-        assert SIMPSON_DB5_COEF == float(halves[0] / 2**5)
-        assert SIMPSON_DB7_COEF == float(halves[1] / 2**7)
-        assert SIMPSON_DB9_COEF == float(halves[2] / 2**9)
+        derived = SchemeKind.SIMPSON.error_coefficients
+        for r, half in zip((5, 7, 9), halves):
+            assert _sympy(derived[r]) == half / 2**r
+        assert float(derived[5]) == 1.0 / 2880.0
+        assert float(derived[7]) == 1.0 / 241920.0
+        assert float(derived[9]) == 1.0 / 46448640.0
 
     def test_symbolic_identity_generic_degree_10(self):
-        # g(x+h) - g(x-h) equals the Simpson node combination minus the three
-        # error terms, identically for any polynomial of degree <= 10
+        # g(x+h) - g(x-h) equals each scheme's node combination over [x-h, x+h]
+        # minus its derived error terms a_r g^(r)(x) (2h)^r, identically for any
+        # polynomial of degree <= 10
         x, h = sp.symbols("x h")
         coeffs = sp.symbols("c0:11")
         g = sum(c * x**i for i, c in enumerate(coeffs))
         lhs = g.subs(x, x + h) - g.subs(x, x - h)
         gp = sp.diff(g, x)
-        rule = (h / 3) * (gp.subs(x, x - h) + 4 * gp + gp.subs(x, x + h))
-        rhs = (
-            rule
-            - sp.diff(g, x, 5) * h**5 / 90
-            - sp.diff(g, x, 7) * h**7 / 1890
-            - sp.diff(g, x, 9) * h**9 / 90720
-        )
-        assert sp.expand(lhs - rhs) == 0
+        for scheme in SchemeKind:
+            rule = 2 * h * sum(
+                _sympy(w) * gp.subs(x, x + (2 * _sympy(c) - 1) * h)
+                for c, w in zip(scheme.offsets, scheme.weights)
+            )
+            errors = sum(
+                _sympy(a) * sp.diff(g, x, r) * (2 * h) ** r
+                for r, a in scheme.error_coefficients.items()
+            )
+            assert sp.expand(lhs - (rule - errors)) == 0
 
     def test_low_degree_terms_vanish(self):
         grid = HurstGrid(0.1, 64)
         path = generate(grid, CIRC, 31)
         f = Polynomial([0, 2, 0, 0, Fraction(1, 3)])
         d = simpson_error_decomposition(path, f, 1.0)
-        assert d.term5 == d.term7 == d.term9 == 0.0
+        assert list(d.terms) == [5, 7, 9]
+        assert d.terms[5] == d.terms[7] == d.terms[9] == 0.0
         expected = f(float(path.values[-1])) - f(0.0)
         assert d.main == pytest.approx(expected, rel=1e-10)
 
@@ -365,30 +393,45 @@ class TestSimpsonDecomposition:
         path = generate(grid, CIRC, 32)
         f = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
         d = simpson_error_decomposition(path, f, 1.0)
-        assert d.term7 == d.term9 == 0.0
+        assert d.terms[7] == d.terms[9] == 0.0
         db5 = float(np.sum(increments(path) ** 5))
-        assert d.term5 == pytest.approx(db5 / 2880.0, rel=1e-12)
+        assert d.terms[5] == pytest.approx(db5 / 2880.0, rel=1e-12)
         expected = f(float(path.values[-1])) - f(0.0)
-        assert d.main - d.term5 == pytest.approx(expected, rel=1e-9)
+        assert d.main - d.terms[5] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("spec", ["0,0,0,0,0,1/120", "0,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,0,0,1"])
-    @given(batch=batches(functions=POLYNOMIALS))
-    @example(batch=fixed_batch(0.1, replication_seeds(77, 0, 10), Polynomial([1] * 11)))
-    @example(batch=fixed_batch(0.3, replication_seeds(77, 0, 10), Polynomial([1] * 11)))
-    def test_pathwise_identity(self, spec, batch):
-        # main - term5 - term7 - term9 = f(B_t) - f(0) for the monomial and for a
-        # random polynomial of degree <= 10, on random grids, horizons and paths,
-        # within both a relative bound and the identity's rounding scale
+    @given(batch=batches(functions=POLYNOMIALS), scheme=st.sampled_from(SchemeKind))
+    @example(
+        batch=fixed_batch(0.1, replication_seeds(77, 0, 10), Polynomial([1] * 11)),
+        scheme=SchemeKind.SIMPSON,
+    )
+    @example(
+        batch=fixed_batch(0.3, replication_seeds(77, 0, 10), Polynomial([1] * 11)),
+        scheme=SchemeKind.SIMPSON,
+    )
+    @example(
+        batch=fixed_batch(1 / 6, replication_seeds(77, 0, 10), Polynomial([1] * 11)),
+        scheme=SchemeKind.MIDPOINT,
+    )
+    @example(
+        batch=fixed_batch(1 / 14, replication_seeds(77, 0, 10), Polynomial([1] * 11)),
+        scheme=SchemeKind.MILNE,
+    )
+    def test_pathwise_identity(self, spec, batch, scheme):
+        # main minus every error term = f(B_t) - f(0) for the monomial and for a
+        # random polynomial of degree <= 10, under every scheme, on random
+        # grids, horizons and paths, within both a relative bound and the
+        # identity's rounding scale
         paths, levels, t, g = batch
         for f in (parse_test_function(spec), g):
-            scale = _telescope_scale(levels, f, SchemeKind.SIMPSON)
+            scale = _telescope_scale(levels, f, scheme)
             db, mid = np.diff(levels, axis=1), 0.5 * (levels[:, :-1] + levels[:, 1:])
-            for r in (5, 7, 9):  # the error terms' sizes, their coefficients taken as 1
+            for r in ERROR_POWERS:  # the error terms' sizes, their coefficients taken as 1
                 f_r = _abs_polynomial(f.derivative(r))
                 scale += np.sum(f_r(np.abs(mid)) * np.abs(db) ** r, axis=1)
             for path, end, row_scale in zip(paths, levels[:, -1], scale):
                 expected = f(float(end)) - f(0.0)
-                err = abs(simpson_error_decomposition(path, f, t).telescoped() - expected)
+                err = abs(error_decomposition(path, f, scheme, t).telescoped() - expected)
                 assert err <= 1e-9 * max(1.0, abs(expected))
                 assert err <= 1e-12 * row_scale
 
@@ -399,6 +442,9 @@ class TestSimpsonDecomposition:
             simpson_error_decomposition(path, Polynomial([0] * 11 + [1]), 1.0)
         with pytest.raises(ValueError):
             simpson_error_decomposition(path, ScaledCosine(), 1.0)
+        for scheme in SchemeKind:
+            with pytest.raises(ValueError, match="degree <= 10"):
+                error_decomposition(path, Polynomial([0] * 11 + [1]), scheme, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +552,21 @@ class TestBatchConsistency:
         err = np.abs(midpoint_power_sums(levels, g, r) - np.sum(terms, axis=1))
         assert np.all(err <= 1e-13 * np.sum(np.abs(terms), axis=1))
 
-    @given(batch=batches(functions=POLYNOMIALS))
-    def test_batch_simpson_terms_equal_pathwise(self, batch):
+    @given(batch=batches(functions=POLYNOMIALS), scheme=st.sampled_from(SchemeKind))
+    def test_batch_simpson_terms_equal_pathwise(self, batch, scheme):
+        # the decomposition of every scheme, term by term, against the batch
+        # kernels weighted by the float of each derived coefficient
         paths, levels, t, f = batch
-        main = riemann_sums(levels, f, SchemeKind.SIMPSON)
-        terms = [
-            coef * midpoint_power_sums(levels, f.derivative(r), r)
-            for coef, r in ((SIMPSON_DB5_COEF, 5), (SIMPSON_DB7_COEF, 7), (SIMPSON_DB9_COEF, 9))
-        ]
+        main = riemann_sums(levels, f, scheme)
+        terms = {
+            r: float(a) * midpoint_power_sums(levels, f.derivative(r), r)
+            for r, a in scheme.error_coefficients.items()
+            if r >= scheme.error_power
+        }
         for i, path in enumerate(paths):
-            d = simpson_error_decomposition(path, f, t)
-            assert (d.main, d.term5, d.term7, d.term9) == (
-                main[i],
-                terms[0][i],
-                terms[1][i],
-                terms[2][i],
-            )
+            d = error_decomposition(path, f, scheme, t)
+            assert d.main == main[i]
+            assert d.terms == {r: term[i] for r, term in terms.items()}
 
 
 # ---------------------------------------------------------------------------
