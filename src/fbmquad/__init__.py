@@ -45,7 +45,6 @@ from .schemes import (
     SchemeKind,
     TestFunction,
     error_decomposition,
-    error_statistic,
     parse_test_function,
     riemann_sum,
     simpson_error_decomposition,
@@ -95,7 +94,6 @@ __all__ = [
     "hermite_coefficients",
     "power_to_hermite",
     "riemann_sum",
-    "error_statistic",
     "error_decomposition",
     "simpson_error_decomposition",
     "parse_test_function",

@@ -230,7 +230,7 @@ def _cmd_experiment(args) -> int:
     report: ExperimentReport = runner(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            report.write_csv(fh)
+            fh.write(report.csv_text())
     if args.csv:
         sys.stdout.write(report.csv_text())
     else:

@@ -120,7 +120,7 @@ def _check_time(grid: HurstGrid, t: float) -> None:
 @lru_cache(maxsize=8)
 def _gram_cached(grid: HurstGrid) -> np.ndarray:
     m = grid.num_increments
-    row = grid.n ** (-2.0 * grid.H) * rho(np.arange(m), grid.H) / 2.0
+    row = fgn_autocov(grid, m - 1)
     idx = np.arange(m)
     gram = row[np.abs(idx[:, None] - idx[None, :])]
     gram.setflags(write=False)

@@ -14,29 +14,35 @@ Three experiments, all deterministic functions of their configuration:
   residual variance stops vanishing (plateau at the critical point, growth
   below it); checked against the predicted plateau level.
 
-Replication r of the sweep's n_index-th grid draws from the Philox stream
-keyed by (master_seed, n_index * M + r), so results are bit-identical for any
-worker pool size.  Replications are cut into work items of up to 64 rows,
-fewer at large m so that an item holds at most ``_CHUNK_INCREMENTS``
-increments (but always one row); each is reduced by the row-wise kernels of
-``schemes`` and reassembled in replication order.  Rows are independent, so
-the item size never changes the output.
+All three run one sweep over the grids.  Replication r of the sweep's
+n_index-th grid draws from the Philox stream keyed by (master_seed,
+n_index * M + r), so results are bit-identical for any worker pool size.
+Replications are cut into work items of up to 64 rows, fewer at large m so
+that an item holds at most ``_CHUNK_INCREMENTS`` increments (but always one
+row); each is reduced to the experiment's per-replication statistic by the
+row-wise kernels of ``schemes`` and reassembled in replication order.  Rows
+are independent, so the item size never changes the output.  The sweep fills
+the summary fields every results entry shares and the per-replication columns
+(replication, seed, n, B_t, statistic); each experiment adds only its own
+fields and verdicts, and one builder assembles the report.
 
 A run is described by one frozen ``ExperimentConfig``, the only validator of
 its settings.  Config files and CLI flags share one key vocabulary and both
-reach it through ``ExperimentConfig.from_mapping``.
+reach it through ``ExperimentConfig.from_mapping``; a report echoes its config
+under the same keys.  The verdict thresholds are fixed (``THRESHOLDS``), so no
+config can loosen a verdict.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import operator
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -69,25 +75,34 @@ DEFAULT_MASTER_SEED = 12
 
 _DEFAULT_F = Polynomial((0, 0, 0, 0, 0, Fraction(1, 120)))
 
+#: Verdict thresholds.  They are engineering choices (the limit theory is
+#: asymptotic), fixed so that no config can loosen a verdict, and every report
+#: echoes them.
+THRESHOLDS = {
+    "variance_rel_tol": 0.15,
+    "ks_alpha": 0.01,
+    "sigma_gate": 4.0,
+    "plateau_fraction": 0.5,
+    "decrease_factor": 4.0,
+}
+
+_value = operator.attrgetter("value")
+
 #: Config-file key, which is also the argparse dest of the CLI flag, ->
-#: (ExperimentConfig field, converter from text or from a parsed flag value).
+#: (ExperimentConfig field, converter from text or from a parsed flag value,
+#: converter to the report's JSON echo, or None to leave the key out of it).
 CONFIG_KEYS = {
-    "H": ("H", float),
-    "n": ("n_values", lambda v: v if isinstance(v, (list, tuple)) else str(v).split(",")),
-    "M": ("replications", int),
-    "t": ("t", float),
-    "seed": ("master_seed", int),
-    "scheme": ("scheme", SchemeKind),
-    "f": ("f", parse_test_function),
-    "generator": ("generator", GeneratorKind),
-    "threads": ("threads", int),
-    "variance_rel_tol": ("variance_rel_tol", float),
-    "ks_alpha": ("ks_alpha", float),
-    "sigma_gate": ("sigma_gate", float),
-    "slope_tol": ("slope_tol", float),
-    "plateau_fraction": ("plateau_fraction", float),
-    "decrease_factor": ("decrease_factor", float),
-    "tol": ("constants_tol", float),
+    "H": ("H", float, float),
+    "n": ("n_values", lambda v: v if isinstance(v, (list, tuple)) else str(v).split(","), list),
+    "M": ("replications", int, int),
+    "t": ("t", float, float),
+    "seed": ("master_seed", int, int),
+    "scheme": ("scheme", SchemeKind, _value),
+    "f": ("f", parse_test_function, operator.methodcaller("spec")),
+    "generator": ("generator", GeneratorKind, _value),
+    "threads": ("threads", int, None),  # reports are byte-identical across thread counts
+    "slope_tol": ("slope_tol", float, float),
+    "tol": ("constants_tol", float, float),
 }
 
 
@@ -104,13 +119,7 @@ class ExperimentConfig:
     f: TestFunction = field(default_factory=lambda: _DEFAULT_F)
     generator: GeneratorKind = GeneratorKind.CIRCULANT_EMBEDDING
     threads: int | None = None
-    # verdict thresholds (engineering choices; the limit theory is asymptotic)
-    variance_rel_tol: float = 0.15
-    ks_alpha: float = 0.01
-    sigma_gate: float = 4.0
     slope_tol: float = 0.35
-    plateau_fraction: float = 0.5
-    decrease_factor: float = 4.0
     constants_tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -129,27 +138,15 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
 
     def echo(self) -> dict:
-        """Configuration echo for reports.
+        """Configuration echo for reports, under the config-file keys.
 
-        Round-trips through JSON only: its keys are the field names (``n_values``,
-        ``master_seed``, ...), not the config-file keys.
+        ``from_mapping`` rebuilds the config from it, except ``threads``, which
+        is left out so that reports are byte-identical across thread counts.
         """
         return {
-            "H": float(self.H),
-            "n_values": list(self.n_values),
-            "replications": int(self.replications),
-            "t": float(self.t),
-            "master_seed": int(self.master_seed),
-            "scheme": self.scheme.value,
-            "f": self.f.spec(),
-            "generator": self.generator.value,
-            "variance_rel_tol": float(self.variance_rel_tol),
-            "ks_alpha": float(self.ks_alpha),
-            "sigma_gate": float(self.sigma_gate),
-            "slope_tol": float(self.slope_tol),
-            "plateau_fraction": float(self.plateau_fraction),
-            "decrease_factor": float(self.decrease_factor),
-            "constants_tol": float(self.constants_tol),
+            key: dump(getattr(self, name))
+            for key, (name, _, dump) in CONFIG_KEYS.items()
+            if dump is not None
         }
 
     @classmethod
@@ -163,8 +160,8 @@ class ExperimentConfig:
         for key, value in raw.items():
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            name, conv = CONFIG_KEYS[key]
-            kwargs[name] = conv(value)
+            name, parse, _ = CONFIG_KEYS[key]
+            kwargs[name] = parse(value)
         if "H" not in kwargs or "n_values" not in kwargs:
             raise ValueError("config must define at least H and n")
         return cls(**kwargs)
@@ -193,13 +190,14 @@ def read_config(path_or_stream) -> dict[str, str]:
 class ExperimentReport:
     """Canonical JSON payload plus the per-replication table behind it.
 
-    Wall-clock time is kept out of the payload so that reports with equal
-    configurations are byte-identical; the CLI logs timing to stderr.
+    ``columns`` maps each CSV field (replication, seed, n, B_t, statistic) to a
+    numpy column with one entry per replication per grid.  Wall-clock time is
+    kept out of the payload so that reports with equal configurations are
+    byte-identical; the CLI logs timing to stderr.
     """
 
     payload: dict
-    rows: list[tuple]
-    wall_seconds: float
+    columns: dict[str, np.ndarray]
 
     @property
     def overall_pass(self) -> bool:
@@ -208,15 +206,11 @@ class ExperimentReport:
     def to_json(self) -> str:
         return canonical_json(self.payload)
 
-    def write_csv(self, stream) -> None:
-        stream.write("replication,seed,n,B_t,statistic\n")
-        for rep, seed, n, b_t, stat in self.rows:
-            stream.write(f"{rep},{seed},{n},{b_t!r},{stat!r}\n")
-
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        """The table as CSV: a header, then one line per row, floats in shortest round-trip form."""
+        rows = zip(*(column.tolist() for column in self.columns.values()))
+        lines = [",".join(self.columns)] + [",".join(map(repr, row)) for row in rows]
+        return "\n".join(lines) + "\n"
 
 
 def canonical_json(payload) -> str:
@@ -347,7 +341,8 @@ def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per
     """Generate all replications for one grid and apply per_chunk to each batch.
 
     per_chunk(values) maps a (rows, floor(nT)+1) matrix of paths to a dict of
-    per-replication arrays.  An item holds max(1, min(_CHUNK,
+    per-replication arrays; each item adds the terminal levels ``b_end`` and
+    the stream ``seed`` of its rows.  An item holds max(1, min(_CHUNK,
     _CHUNK_INCREMENTS // m)) rows for m = floor(nT) increments.  Rows are
     independent and the items are reassembled in replication order, so
     neither the item size nor the thread count changes the output.
@@ -360,6 +355,7 @@ def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per
         seeds = replication_seeds(config.master_seed, n_index * M + lo, n_index * M + hi)
         values = generate_batch(grid, config.generator, seeds)
         out = per_chunk(values)
+        out["b_end"] = values[:, -1].copy()
         out["seed"] = seeds
         return out
 
@@ -370,6 +366,58 @@ def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pieces = list(pool.map(lambda b: worker(*b), bounds))
     return {key: np.concatenate([p[key] for p in pieces]) for key in pieces[0]}
+
+
+def _sweep(config: ExperimentConfig, statistic, describe):
+    """Run every grid of the sweep; returns the results entries and the CSV columns.
+
+    statistic(grid, values) maps a work item's paths to a dict of
+    per-replication arrays, among them ``"statistic"``, the value summarized
+    and written to the CSV.  describe(grid, data, summary) returns the fields
+    that follow the shared n, count, mean, variance and variance_se of the
+    grid's results entry; data holds the concatenated arrays plus ``b_end``
+    and ``seed``.
+    """
+    results, data = [], []
+    for i, n in enumerate(config.n_values):
+        grid = HurstGrid(config.H, n, T=config.t)
+        data.append(_run_replicated(config, grid, i, partial(statistic, grid)))
+        summary = summarize(data[-1]["statistic"])
+        results.append(
+            {
+                "n": int(n),
+                "count": summary.count,
+                "mean": summary.mean,
+                "variance": summary.variance,
+                "variance_se": summary.variance_se,
+                **describe(grid, data[-1], summary),
+            }
+        )
+    M = config.replications
+    columns = {
+        "replication": np.tile(np.arange(M), len(data)),
+        "seed": np.concatenate([d["seed"] for d in data]),
+        "n": np.repeat(config.n_values, M),
+        "B_t": np.concatenate([d["b_end"] for d in data]),
+        "statistic": np.concatenate([d["statistic"] for d in data]),
+    }
+    return results, columns
+
+
+def _report(
+    experiment: str, config: ExperimentConfig, body: dict, verdicts: dict, notes: list, columns
+) -> ExperimentReport:
+    """Assemble a report: the config and threshold echoes, the experiment's body, its verdicts."""
+    payload = {
+        "experiment": experiment,
+        "config": config.echo(),
+        "thresholds": dict(THRESHOLDS),
+        **body,
+        "verdicts": verdicts,
+        "overall_pass": all(verdicts.values()),
+        "notes": notes,
+    }
+    return ExperimentReport(payload, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +437,6 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     if not 0.0 < config.H <= 0.5:
         raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
-    started = time.perf_counter()
     r = config.scheme.error_power
     kappas = beta_terms(config.H, config.constants_tol, r)
     beta_sq = beta_squared(*kappas)
@@ -399,38 +446,22 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     constant_fr = c is not None
     degenerate = c == 0.0
 
-    results = []
-    rows: list[tuple] = []
-    ratio_errors = []
-    sigma2 = None
-    for i, n in enumerate(config.n_values):
-        grid = HurstGrid(config.H, n, T=config.t)
-        scale = float(n) ** exponent
+    def statistic(grid: HurstGrid, values: np.ndarray) -> dict:
+        out = {"statistic": float(grid.n) ** exponent * midpoint_power_sums(values, fr, r)}
+        if not constant_fr:
+            out["fr_sq_integral"] = midpoint_power_sums(values, lambda x: fr(x) ** 2, 0) / grid.n
+        return out
 
-        def per_chunk(values: np.ndarray) -> dict:
-            out = {
-                "stat": scale * midpoint_power_sums(values, fr, r),
-                "b_end": values[:, -1].copy(),
-            }
-            if not constant_fr:
-                out["fr_sq_integral"] = midpoint_power_sums(values, lambda x: fr(x) ** 2, 0) / n
-            return out
-
-        data = _run_replicated(config, grid, i, per_chunk)
-        stat, b_end = data["stat"], data["b_end"]
-        summary = summarize(stat)
+    def describe(grid: HurstGrid, data: dict, summary) -> dict:
+        stat = data["statistic"]
         if constant_fr:
             sigma2 = c * c * beta_sq * config.t
-            predicted = scale * scale * predicted_error_variance(config.H, n, config.t, r, c)
+            scale = float(grid.n) ** exponent
+            predicted = scale * scale * predicted_error_variance(config.H, grid.n, config.t, r, c)
         else:
             sigma2 = beta_sq * float(np.mean(data["fr_sq_integral"]))
             predicted = None
         entry = {
-            "n": int(n),
-            "count": summary.count,
-            "mean": summary.mean,
-            "variance": summary.variance,
-            "variance_se": summary.variance_se,
             "skewness": summary.skewness,
             "excess_kurtosis": summary.excess_kurtosis,
             "target_variance": float(sigma2),
@@ -440,29 +471,24 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
             ),
         }
         if degenerate or summary.variance == 0.0:
-            entry.update({"degenerate": True, "ks_p_value": None, "corr_with_level": None})
-            ratio_errors.append(0.0)
+            return entry | {
+                "degenerate": True,
+                "ks_p_value": None,
+                "corr_with_level": None,
+                "variance_ratio_error": 0.0,
+            }
+        entry["degenerate"] = False
+        if constant_fr:
+            ks = ks_test_normal(stat, sigma2)
+            entry["ks_statistic"], entry["ks_p_value"] = ks.statistic, ks.p_value
         else:
-            entry["degenerate"] = False
-            if constant_fr:
-                ks = ks_test_normal(stat, sigma2)
-                entry["ks_statistic"] = ks.statistic
-                entry["ks_p_value"] = ks.p_value
-            else:
-                entry["ks_statistic"] = None
-                entry["ks_p_value"] = None
-            entry["corr_with_level"] = correlation(stat, b_end)
-            ratio_errors.append(abs(summary.variance / sigma2 - 1.0))
-        entry["variance_ratio_error"] = ratio_errors[-1]
-        results.append(entry)
-        rows.extend(
-            (r, int(data["seed"][r]), int(n), float(b_end[r]), float(stat[r]))
-            for r in range(config.replications)
-        )
+            entry["ks_statistic"] = entry["ks_p_value"] = None
+        entry["corr_with_level"] = correlation(stat, data["b_end"])
+        entry["variance_ratio_error"] = abs(summary.variance / sigma2 - 1.0)
+        return entry
 
+    results, columns = _sweep(config, statistic, describe)
     last = results[-1]
-    M = config.replications
-    gate = config.sigma_gate / math.sqrt(M)
     if degenerate or last["degenerate"]:
         verdicts = {
             "variance_final": True,
@@ -472,19 +498,23 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
             "mean_final": True,
         }
     else:
-        var_tol = max(config.variance_rel_tol, 3.0 * last["variance_se"] / last["target_variance"])
+        ratio_errors = [entry["variance_ratio_error"] for entry in results]
+        M = config.replications
+        sigma_gate = THRESHOLDS["sigma_gate"]
+        var_tol = max(
+            THRESHOLDS["variance_rel_tol"], 3.0 * last["variance_se"] / last["target_variance"]
+        )
         verdicts = {
             "variance_final": ratio_errors[-1] <= var_tol,
             "variance_trend": all(
                 b <= a + 1e-15 for a, b in zip(ratio_errors, ratio_errors[1:])
             ),
-            "ks_final": (last["ks_p_value"] is None) or (last["ks_p_value"] > config.ks_alpha),
-            "corr_final": abs(last["corr_with_level"]) < gate,
-            "mean_final": abs(last["mean"]) < config.sigma_gate * math.sqrt(last["variance"] / M),
+            "ks_final": (last["ks_p_value"] is None)
+            or (last["ks_p_value"] > THRESHOLDS["ks_alpha"]),
+            "corr_final": abs(last["corr_with_level"]) < sigma_gate / math.sqrt(M),
+            "mean_final": abs(last["mean"]) < sigma_gate * math.sqrt(last["variance"] / M),
         }
-    payload = {
-        "experiment": "clt",
-        "config": config.echo(),
+    body = {
         "constants": {
             **{f"kappa{k.m}": k.value for k in reversed(kappas)},
             "beta": math.sqrt(beta_sq),
@@ -492,14 +522,12 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         },
         "statistic_scale_exponent": exponent,
         "results": results,
-        "verdicts": verdicts,
-        "overall_pass": all(verdicts.values()),
-        "notes": [
-            "verdict thresholds are engineering choices; the limit law is asymptotic "
-            "and finite-n agreement is trend plus tolerance",
-        ],
     }
-    return ExperimentReport(payload, rows, time.perf_counter() - started)
+    notes = [
+        "verdict thresholds are engineering choices; the limit law is asymptotic "
+        "and finite-n agreement is trend plus tolerance",
+    ]
+    return _report("clt", config, body, verdicts, notes, columns)
 
 
 def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -510,42 +538,31 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"rate experiment needs H above the {config.scheme.value} threshold "
             f"{threshold:.6g}; the probe below handles H <= threshold"
         )
-    started = time.perf_counter()
     exact = config.f.degree is not None and config.f.degree <= config.scheme.exact_degree
-    results, rows, moments = _residual_sweep(config)
+    results, columns = _residual_sweep(config)
     target = 1.0 - 2.0 * config.scheme.error_power * config.H
     if exact:
         verdicts = {"exact": True, "slope": True}
-        slope_entry = {"exact": True, "slope": None, "stderr": None, "target": target}
+        fit_entry = {"exact": True, "slope": None, "stderr": None, "target": target}
     else:
-        fit = fit_loglog_slope(list(zip(config.n_values, moments)))
+        fit = fit_loglog_slope([(e["n"], e["second_moment"]) for e in results])
         verdicts = {
             "exact": True,
             "slope": abs(fit.slope - target) <= config.slope_tol,
         }
-        slope_entry = {
+        fit_entry = {
             "exact": False,
             "slope": fit.slope,
             "stderr": fit.stderr,
             "target": target,
         }
-    payload = {
-        "experiment": "rate",
-        "config": config.echo(),
-        "results": results,
-        "fit": slope_entry,
-        "verdicts": verdicts,
-        "overall_pass": all(verdicts.values()),
-        "notes": [],
-    }
-    return ExperimentReport(payload, rows, time.perf_counter() - started)
+    return _report("rate", config, {"results": results, "fit": fit_entry}, verdicts, [], columns)
 
 
 def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
     """Behavior of the raw residual variance at and below the critical exponent."""
-    started = time.perf_counter()
     threshold = float(config.scheme.critical_hurst)
-    results, rows, _ = _residual_sweep(config, center=True)
+    results, columns = _residual_sweep(config)
     variances = [r["variance"] for r in results]
     ses = [r["variance_se"] for r in results]
     notes = []
@@ -560,65 +577,35 @@ def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
         regime = "critical"
         plateau = _plateau_level(config)
         notes.append(f"predicted residual variance plateau {plateau!r}")
-        verdicts = {"non_vanishing": variances[-1] >= config.plateau_fraction * plateau}
+        verdicts = {"non_vanishing": variances[-1] >= THRESHOLDS["plateau_fraction"] * plateau}
     else:
         regime = "above-threshold"  # control case: the residual must vanish
-        verdicts = {
-            "vanishing": variances[0] >= config.decrease_factor * variances[-1]
-        }
-    payload = {
-        "experiment": "divergence",
-        "config": config.echo(),
-        "regime": regime,
-        "results": results,
-        "verdicts": verdicts,
-        "overall_pass": all(verdicts.values()),
-        "notes": notes,
-    }
-    return ExperimentReport(payload, rows, time.perf_counter() - started)
+        verdicts = {"vanishing": variances[0] >= THRESHOLDS["decrease_factor"] * variances[-1]}
+    body = {"regime": regime, "results": results}
+    return _report("divergence", config, body, verdicts, notes, columns)
 
 
-def _residual_sweep(config: ExperimentConfig, center: bool = False):
-    """Monte Carlo of the scheme residual across n; returns results, rows, moments."""
+def _residual_sweep(config: ExperimentConfig):
+    """Sweep of the scheme residual, riemann_sum - (f(B_t) - f(0)), across n."""
     f0 = float(config.f(0.0))
-    results = []
-    rows: list[tuple] = []
-    moments = []
-    for i, n in enumerate(config.n_values):
-        grid = HurstGrid(config.H, n, T=config.t)
 
-        def per_chunk(values: np.ndarray) -> dict:
-            b_end = values[:, -1]
-            residual = riemann_sums(values, config.f, config.scheme) - (
-                config.f(b_end) - f0
-            )
-            return {"residual": residual, "b_end": b_end.copy()}
+    def statistic(grid: HurstGrid, values: np.ndarray) -> dict:
+        b_end = values[:, -1]
+        residual = riemann_sums(values, config.f, config.scheme) - (config.f(b_end) - f0)
+        return {"statistic": residual}
 
-        data = _run_replicated(config, grid, i, per_chunk)
-        residual, b_end = data["residual"], data["b_end"]
-        second_moment = float(np.mean(residual**2))
-        summary = summarize(residual)
-        results.append(
-            {
-                "n": int(n),
-                "count": summary.count,
-                "mean": summary.mean,
-                "variance": summary.variance,
-                "variance_se": summary.variance_se,
-                "second_moment": second_moment,
-                "second_moment_se": float(np.std(residual**2, ddof=1))
-                / math.sqrt(config.replications),
-                "partial_interval_second_moment": partial_interval_second_moment(
-                    grid, config.f, config.t
-                ),
-            }
-        )
-        moments.append(summary.variance if center else second_moment)
-        rows.extend(
-            (r, int(data["seed"][r]), int(n), float(b_end[r]), float(residual[r]))
-            for r in range(config.replications)
-        )
-    return results, rows, moments
+    def describe(grid: HurstGrid, data: dict, summary) -> dict:
+        residual = data["statistic"]
+        return {
+            "second_moment": float(np.mean(residual**2)),
+            "second_moment_se": float(np.std(residual**2, ddof=1))
+            / math.sqrt(config.replications),
+            "partial_interval_second_moment": partial_interval_second_moment(
+                grid, config.f, config.t
+            ),
+        }
+
+    return _sweep(config, statistic, describe)
 
 
 def _plateau_level(config: ExperimentConfig) -> float:

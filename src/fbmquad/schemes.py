@@ -366,11 +366,6 @@ def riemann_sum(path: FbmPath, f: TestFunction, kind: SchemeKind, t: float) -> f
     return float(riemann_sums(cut_levels(path, t), f, kind)[0])
 
 
-def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
-    """sum_j f^(5)(midpoint_j) dB_j^5, the statistic driving critical fluctuations."""
-    return float(midpoint_power_sums(cut_levels(path, t), f.derivative(5), 5)[0])
-
-
 @dataclass(frozen=True)
 class ErrorDecomposition:
     """Exact split of a composite Riemann sum: ``main`` minus every term telescopes to f(B_end) - f(0).
@@ -403,8 +398,10 @@ def error_decomposition(
         raise ValueError(f"decomposition requires degree <= 10, got {f.degree}")
     values = cut_levels(path, t)
     main = float(riemann_sums(values, f, kind)[0])
+    # + 0.0 turns the -0.0 of a negative a_r times a vanishing sum into 0.0
+    # and leaves every other value as it is
     terms = {
-        r: coef * float(midpoint_power_sums(values, f.derivative(r), r)[0])
+        r: coef * float(midpoint_power_sums(values, f.derivative(r), r)[0]) + 0.0
         for r, coef in _SCHEMES[kind].error_terms
     }
     return ErrorDecomposition(main=main, terms=terms)

@@ -4,7 +4,9 @@ They restate closed forms of the fBm kernel entry by entry, draw from freshly
 seeded streams and keep the straightforward loop, ``pow`` and
 allocate-per-step forms of the samplers, test functions and statistics, as
 oracles for the package's vectorized Gram matrix, seed windows, samplers,
-cached derivatives and in-place quadrature kernels.
+cached derivatives and in-place quadrature kernels.  ``error_statistic``
+keeps Simpson's single-path error statistic as the reference for the batch
+kernel.
 """
 
 import numpy as np
@@ -18,9 +20,11 @@ from fbmquad import (
     circulant_eigenvalues,
     cov,
     increment_gram,
+    TestFunction,
     replication_seeds,
     rho,
 )
+from fbmquad.schemes import cut_levels, midpoint_power_sums
 
 #: Sum families supported by :func:`abs_power_sum`.
 SUM_KINDS = ("level", "midpoint", "increment")
@@ -142,6 +146,11 @@ def pow_midpoint_terms(values: np.ndarray, g, r: int) -> np.ndarray:
     db = np.diff(values, axis=1)
     mid = 0.5 * (values[:, :-1] + values[:, 1:])
     return g(mid) * db**r
+
+
+def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
+    """sum_j f^(5)(midpoint_j) dB_j^5, the statistic driving critical fluctuations."""
+    return float(midpoint_power_sums(cut_levels(path, t), f.derivative(5), 5)[0])
 
 
 def kfold_derivative(coeffs, k: int) -> tuple:

@@ -248,7 +248,6 @@ def test_criterion_6_divergence_probe():
         replications=500,
         master_seed=DEFAULT_MASTER_SEED,
         f=QUINTIC,
-        decrease_factor=4.0,
     )
     control = fq.run_divergence_probe(control_cfg)
     grow_vars = [r["variance"] for r in grow.payload["results"]]

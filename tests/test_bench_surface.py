@@ -2,11 +2,17 @@
 
 The tracer rebinds the names listed in its ``BOUNDARIES`` table; a name that
 no longer resolves would break every traced benchmark run, so each one is
-resolved here without installing the tracer.
+resolved here without installing the tracer.  The benchmark also compares the
+value names and verdict keys of every experiment report with those stored in
+``perfbench/reference.json``, so each experiment operation of its workloads is
+run here on small grids and its names are checked against the stored ones.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import json
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,17 +21,31 @@ import pytest
 import fbmquad
 from fbmquad import GeneratorKind, HurstGrid, Polynomial, generate
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-BOUNDARIES = _load_tracer().BOUNDARIES
+BOUNDARIES = _load("tracer").BOUNDARIES
+WORKLOADS = _load("workloads")
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+
+
+def _small_config(**kwargs):
+    """The benchmark's config at M = 100 on as many grids as it has, from n = 16 up."""
+    config = fbmquad.ExperimentConfig(**kwargs)
+    n_values = tuple(2**k for k in range(4, 4 + len(config.n_values)))
+    return dataclasses.replace(config, n_values=n_values, replications=100)
+
+
+#: fbmquad as the workload builders see it, with every experiment made small.
+SMALL = types.SimpleNamespace(**vars(fbmquad))
+SMALL.ExperimentConfig = _small_config
 
 
 @pytest.mark.parametrize(
@@ -46,3 +66,14 @@ def test_simpson_decomposition_name_telescopes():
     expected = f(float(path.values[-1])) - f(0.0)
     got = fbmquad.simpson_error_decomposition(path, f, 1.0).telescoped()
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("workload", ["clt-critical", "rate-sweep"])
+def test_report_names_match_benchmark_reference(workload):
+    ops, _ = WORKLOADS.BUILDERS[workload](SMALL, 12, 1, False)
+    reference = REFERENCE[workload]["ops"]
+    assert sorted(name for name, _ in ops) == sorted(reference)
+    for name, op in ops:
+        result = op()
+        assert sorted(result["values"]) == sorted(reference[name]["values"]), name
+        assert sorted(result["verdicts"]) == sorted(reference[name]["verdicts"]), name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmquad import ExperimentConfig, SchemeKind
+from fbmquad import ExperimentConfig, SchemeKind, run_rate_experiment
 from fbmquad.cli import _build_parser, _config_from_args, main
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,18 @@ class TestIntegrateCommand:
             telescoped = d["main"] - sum(v for k, v in d.items() if k != "main")
             assert telescoped == pytest.approx(payload["increment_of_f"], rel=1e-9, abs=1e-9)
 
+    def test_vanishing_terms_print_as_positive_zero(self, capsys):
+        # x^5/120 has f^(7) = f^(9) = 0, and midpoint's a_7 and a_9 are negative
+        code, out, _ = run_cli(
+            capsys,
+            "integrate", "--H", "0.1", "--n", "256", "--seed", "3",
+            "--scheme", "midpoint", "--f", "0,0,0,0,0,1/120",
+        )
+        assert code == 0
+        d = json.loads(out)["decomposition"]
+        for key in ("term7", "term9"):
+            assert d[key] == 0.0 and math.copysign(1.0, d[key]) == 1.0
+
     def test_bad_function_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "integrate", "--H", "0.2", "--n", "64", "--f", "1,zzz"
@@ -168,7 +180,7 @@ class TestExperimentCommands:
         cfg.write_text("H = 0.05\nn = 16,32\nM = 100\nseed = 3\n")
         code, out, _ = run_cli(capsys, "diverge", "--config", str(cfg), "--M", "120")
         payload = json.loads(out)
-        assert payload["config"]["replications"] == 120
+        assert payload["config"]["M"] == 120
         assert payload["config"]["H"] == 0.05
 
     def test_rate_csv_output(self, capsys, tmp_path):
@@ -182,6 +194,19 @@ class TestExperimentCommands:
         assert lines[0] == "replication,seed,n,B_t,statistic"
         assert len(lines) == 301
         assert json.loads(out)["experiment"] == "rate"
+
+    def test_out_and_csv_write_csv_text(self, capsys, tmp_path):
+        out_file = tmp_path / "rows.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "rate", "--H", "0.25", "--n", "16", "--n", "32", "--n", "64",
+            "--M", "100", "--seed", "2", "--out", str(out_file), "--csv",
+        )
+        assert code in (0, 1)
+        config = ExperimentConfig(H=0.25, n_values=(16, 32, 64), replications=100, master_seed=2)
+        expected = run_rate_experiment(config).csv_text()
+        assert out == expected
+        assert out_file.read_bytes() == expected.encode("utf-8")
 
     def test_json_round_trip_bytes(self, capsys):
         _, out, _ = run_cli(

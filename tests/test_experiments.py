@@ -1,7 +1,6 @@
 """Experiment harness: determinism, verdict logic, exact second-moment targets."""
 
 import dataclasses
-import io
 import json
 import math
 from fractions import Fraction
@@ -30,6 +29,7 @@ from fbmquad import (
 )
 from fbmquad.experiments import read_config
 from fbmquad.pathgen import generate_batch, replication_seeds
+from test_cli import CONFIG_VALUES
 
 QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
 
@@ -129,11 +129,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_mapping(read_config(bad))
 
-    def test_echo_round_trips_through_json(self):
-        cfg = ExperimentConfig(H=0.1, n_values=(64,), replications=100)
+    @given(keys=st.sets(st.sampled_from(sorted(CONFIG_VALUES))), data=st.data())
+    def test_echo_round_trips_through_json(self, keys, data):
+        raw = {k: data.draw(CONFIG_VALUES[k], label=k) for k in sorted(keys | {"H", "n"})}
+        cfg = ExperimentConfig.from_mapping(raw)
         echoed = json.loads(canonical_json(cfg.echo()))
+        assert ExperimentConfig.from_mapping(echoed) == dataclasses.replace(cfg, threads=None)
+
+    def test_echo_uses_config_keys_without_threads(self):
+        cfg = ExperimentConfig(H=0.1, n_values=(64,), replications=100, threads=2)
+        echoed = cfg.echo()
+        assert list(echoed) == [k for k in experiments.CONFIG_KEYS if k != "threads"]
         assert echoed["f"] == "0,0,0,0,0,1/120"
-        assert echoed["n_values"] == [64]
+        assert echoed["n"] == [64]
+        assert echoed["M"] == 100
+
+    @pytest.mark.parametrize(
+        "key", ["variance_rel_tol", "ks_alpha", "sigma_gate", "plateau_fraction", "decrease_factor"]
+    )
+    def test_fixed_thresholds_are_not_config_keys(self, key):
+        assert key in experiments.THRESHOLDS
+        with pytest.raises(ValueError, match="unknown config key"):
+            ExperimentConfig.from_mapping({"H": "0.1", "n": "16,32", key: "1.0"})
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +197,9 @@ class TestDeterminism:
     def test_replication_streams_do_not_collide(self):
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=150, master_seed=11)
         report = run_clt_experiment(cfg)
-        seeds = [row[1] for row in report.rows]
+        seeds = report.columns["seed"].tolist()
         assert len(set(seeds)) == len(seeds)
+        assert [int(line.split(",")[1]) for line in report.csv_text().splitlines()[1:]] == seeds
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +362,10 @@ class TestCltExperiment:
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, master_seed=5)
         report = run_clt_experiment(cfg)
         assert report.payload["experiment"] == "clt"
-        assert len(report.rows) == 200
+        assert list(report.payload)[:3] == ["experiment", "config", "thresholds"]
+        assert report.payload["thresholds"] == experiments.THRESHOLDS
+        assert list(report.columns) == ["replication", "seed", "n", "B_t", "statistic"]
+        assert all(len(column) == 200 for column in report.columns.values())
         assert set(report.payload["verdicts"]) == {
             "variance_final",
             "variance_trend",
@@ -352,9 +373,7 @@ class TestCltExperiment:
             "corr_final",
             "mean_final",
         }
-        buf = io.StringIO()
-        report.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = report.csv_text().strip().splitlines()
         assert lines[0] == "replication,seed,n,B_t,statistic"
         assert len(lines) == 201
 

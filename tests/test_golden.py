@@ -5,10 +5,14 @@ The path digests were recorded before the stream layer was rewritten
 per batch) and still hold after the circulant spectrum moved to batch
 assembly.  ``clt-H0.1`` was re-recorded when the error statistic began to
 form dB^5 by multiplication instead of ``pow``, which moves the statistic in
-its last bits.  The digests pin every output bit, so any change to how seeds,
-streams, paths or statistics are produced shows up here.  A digest may only
-change together with a CHANGES.md entry that says which outputs moved and why.
-They are pinned on numpy 2.x.  Two report digests are also checked with one
+its last bits.  All six report digests were re-recorded when a report's
+``config`` block took the config-file keys (``n``, ``M``, ``seed``, ``tol``,
+without ``threads``) and gained a ``thresholds`` block after it; with those
+two blocks removed, every report and CSV kept its bytes.  The digests pin
+every output bit, so any change to how seeds, streams, paths or statistics
+are produced shows up here.  A digest may only change together with a
+CHANGES.md entry that says which outputs moved and why.  They are pinned on
+numpy 2.x.  Two report digests are also checked with one
 row per work item, since rows are independent of how replications are cut.
 """
 
@@ -43,12 +47,12 @@ REPORTS = {
     "clt-H0.1": (
         run_clt_experiment,
         dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
-        "81a933b8029c81b63dd7d145c44119cbdca18355d7d7654f9386ccc67b1ed723",
+        "90df1ff3c375fdf70c85ea298810c86e1560a895d58e45761ab1d7ccd1c6e98a",
     ),
     "rate-simpson-H0.2": (
         run_rate_experiment,
         dict(H=0.2, n_values=(32, 64, 128, 256), f=QUINTIC),
-        "be2e9fe9861b749675d3e5232a0059e2c0c649ea5947d2d29d3a6837246062c2",
+        "bcfbe44e1b715ffb1d71341450ea3085a45adcc4069272f0acbc26339486d0e7",
     ),
     "rate-milne-H0.15": (
         run_rate_experiment,
@@ -58,22 +62,22 @@ REPORTS = {
             scheme=SchemeKind.MILNE,
             f=Polynomial([0] * 7 + [Fraction(1, 5040)]),
         ),
-        "4d984c219d9aa6fe67f8c0310759c1d8245a741c2a4bd3d74abcce0b9d3e5f13",
+        "3770d596a57e27efb848c47d2802e1e9298a26a4f015fe30cb67dd41f111995d",
     ),
     "diverge-H0.05": (
         run_divergence_probe,
         dict(H=0.05, n_values=(64, 128, 256), f=QUINTIC),
-        "7e1a047f45ed9177268b345e0ad4ed3f394ad91f48ef38bb65301c71c45d25a8",
+        "9dcfcabf542784588db451465d1d22669d4b5cf3e114a0c97db6c7567b0a6199",
     ),
     "diverge-H0.1": (
         run_divergence_probe,
         dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
-        "735c0c8371fc873a8a403c223c8b46d70ae87158f2149fee1410b5f19119b667",
+        "bc262cf2e67c1076c8413b2d881ce7f41f957a56e72ae80b1502e77002d7b8d2",
     ),
     "diverge-H0.2": (
         run_divergence_probe,
         dict(H=0.2, n_values=(64, 128, 256), f=QUINTIC),
-        "deda59c7a681728b8ed88c54197a475154a50f0c746330f0c9ec3fd720fc787b",
+        "9a6e6c2918d737abcc1aef3a14e8087443775020421f203f24145316aabcbfa0",
     ),
 }
 

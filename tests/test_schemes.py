@@ -20,7 +20,6 @@ from fbmquad import (
     ScaledCosine,
     SchemeKind,
     error_decomposition,
-    error_statistic,
     generate,
     generate_batch,
     parse_test_function,
@@ -36,6 +35,7 @@ from fbmquad.schemes import (
     riemann_sums,
 )
 from oracle import (
+    error_statistic,
     increments,
     kfold_derivative,
     midpoints,
