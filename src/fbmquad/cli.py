@@ -2,8 +2,10 @@
 
 Subcommands: ``constants``, ``simulate``, ``integrate``, ``clt``, ``rate``,
 ``diverge``, ``selftest``.  Results go to stdout as canonical JSON (CSV with
---csv where applicable); progress and timing go to stderr.  Exit codes:
-0 success and all verdicts pass, 1 verdict failure, 2 usage or config error.
+--csv where applicable); ``main`` writes one timing line per run to stderr.
+The experiment commands get one flag per ``CONFIG_KEYS`` key, kept as text for
+``ExperimentConfig.from_mapping``.  Exit codes: 0 success and all verdicts
+pass, 1 verdict failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from enum import EnumMeta
 
 from .constants import beta_squared, beta_terms
 from .covariance import HurstGrid
@@ -19,7 +22,6 @@ from .experiments import (
     CONFIG_KEYS,
     DEFAULT_MASTER_SEED,
     ExperimentConfig,
-    ExperimentReport,
     canonical_json,
     exact_identity_checks,
     read_config,
@@ -28,27 +30,24 @@ from .experiments import (
     run_rate_experiment,
 )
 from .pathgen import FbmPath, GeneratorKind, generate, write_path_csv
-from .schemes import (
-    SchemeKind,
-    cut_levels,
-    error_decomposition,
-    parse_test_function,
-    riemann_sum,
-)
+from .schemes import SchemeKind, cut_levels, error_decomposition, parse_test_function, riemann_sum
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        code = args.handler(args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'fbmquad {args.command} --help' for usage", file=sys.stderr)
         return 2
+    elapsed = time.perf_counter() - started
+    print(f"[fbmquad] {args.command} finished in {elapsed:.2f}s", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:
@@ -89,14 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="0,0,0,0,0,1/120", help="polynomial coeffs or cos[:a,w]")
     p.set_defaults(handler=_cmd_integrate)
 
-    for name, help_text in (
-        ("clt", "critical-case distributional experiment"),
-        ("rate", "squared-residual decay-rate experiment"),
-        ("diverge", "residual variance probe at/below the critical exponent"),
+    for name, runner, help_text in (
+        ("clt", run_clt_experiment, "critical-case distributional experiment"),
+        ("rate", run_rate_experiment, "squared-residual decay-rate experiment"),
+        ("diverge", run_divergence_probe, "residual variance probe at/below the critical exponent"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _experiment_flags(p, name)
-        p.set_defaults(handler=_cmd_experiment)
+        _experiment_flags(p)
+        p.set_defaults(handler=_cmd_experiment, runner=runner)
 
     p = sub.add_parser("selftest", help="fast deterministic exact-identity suite")
     p.set_defaults(handler=_cmd_selftest)
@@ -110,22 +109,28 @@ def _grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generator", choices=[g.value for g in GeneratorKind], default="circulant")
 
 
-def _experiment_flags(p: argparse.ArgumentParser, name: str) -> None:
+#: Help text of the experiment flags, by config key.
+_FLAG_HELP = {
+    "n": "repeatable for sweeps",
+    "M": "replications",
+    "seed": "master seed",
+    "f": "polynomial coeffs lowest degree first, or cos[:a,w]",
+    "threads": "worker pool cap (default: all cores)",
+    "slope_tol": "rate-fit slope tolerance",
+    "tol": "constants tolerance",
+}
+
+
+def _experiment_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per config key, left as text for ``ExperimentConfig.from_mapping``."""
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--H", type=float)
-    p.add_argument("--n", type=int, action="append", help="repeatable for sweeps")
-    p.add_argument("--t", type=float)
-    p.add_argument("--M", type=int, help="replications")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--f", help="polynomial coeffs lowest degree first, or cos[:a,w]")
-    p.add_argument("--generator", choices=[g.value for g in GeneratorKind])
-    p.add_argument("--threads", type=int, help="worker pool cap (default: all cores)")
-    p.add_argument("--tol", type=float, help="constants tolerance")
+    for key, (_, parse, _) in CONFIG_KEYS.items():
+        choices = [member.value for member in parse] if isinstance(parse, EnumMeta) else None
+        action = "append" if key == "n" else "store"
+        flag = "--" + key.replace("_", "-")
+        p.add_argument(flag, action=action, choices=choices, help=_FLAG_HELP.get(key))
     p.add_argument("--out", help="write per-replication CSV here")
     p.add_argument("--csv", action="store_true", help="emit per-replication CSV on stdout")
-    p.add_argument("--scheme", choices=[s.value for s in SchemeKind])
-    if name == "rate":
-        p.add_argument("--slope-tol", type=float)
 
 
 # ---------------------------------------------------------------------------
@@ -152,48 +157,33 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _make_path(args, T: float) -> FbmPath:
-    grid = HurstGrid(args.H, args.n, T=T)
+def _make_path(args) -> FbmPath:
+    grid = HurstGrid(args.H, args.n, T=args.T)
     return generate(grid, GeneratorKind(args.generator), args.seed)
 
 
 def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    path = _make_path(args, args.T)
+    path = _make_path(args)
+    payload = {key: getattr(args, key) for key in ("H", "n", "T", "seed", "generator")}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_path_csv(path, fh)
-        payload = {
-            "H": args.H,
-            "n": args.n,
-            "T": args.T,
-            "seed": args.seed,
-            "generator": args.generator,
-            "rows": len(path.values),  # data rows, one per grid point
-            "out": args.out,
-        }
-        print(canonical_json(payload))
+        payload |= {"rows": len(path.values), "out": args.out}  # data rows, one per grid point
     elif args.csv:
         write_path_csv(path, sys.stdout)
+        return 0
     else:
-        payload = {
-            "H": args.H,
-            "n": args.n,
-            "T": args.T,
-            "seed": args.seed,
-            "generator": args.generator,
+        payload |= {
             "t": [float(x) for x in path.grid.times()],
             "B": [float(x) for x in path.values],
         }
-        print(canonical_json(payload))
-    _log_timing("simulate", started)
+    print(canonical_json(payload))
     return 0
 
 
 def _cmd_integrate(args) -> int:
-    started = time.perf_counter()
     t = args.t if args.t is not None else args.T
-    path = _make_path(args, args.T)
+    path = _make_path(args)
     f = parse_test_function(args.f)
     scheme = SchemeKind(args.scheme)
     value = riemann_sum(path, f, scheme, t)
@@ -215,19 +205,11 @@ def _cmd_integrate(args) -> int:
         d = error_decomposition(path, f, scheme, t)
         payload["decomposition"] = {"main": d.main} | {f"term{r}": v for r, v in d.terms.items()}
     print(canonical_json(payload))
-    _log_timing("integrate", started)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
-    runner = {
-        "clt": run_clt_experiment,
-        "rate": run_rate_experiment,
-        "diverge": run_divergence_probe,
-    }[args.command]
-    report: ExperimentReport = runner(config)
+    report = args.runner(_config_from_args(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.csv_text())
@@ -235,7 +217,6 @@ def _cmd_experiment(args) -> int:
         sys.stdout.write(report.csv_text())
     else:
         print(report.to_json())
-    _log_timing(args.command, started)
     return 0 if report.overall_pass else 1
 
 
@@ -246,16 +227,10 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_selftest(args) -> int:
-    started = time.perf_counter()
     checks = [{"name": name, "pass": ok} for name, ok in exact_identity_checks().items()]
     all_pass = all(c["pass"] for c in checks)
     print(canonical_json({"checks": checks, "all_pass": all_pass}))
-    _log_timing("selftest", started)
     return 0 if all_pass else 1
-
-
-def _log_timing(command: str, started: float) -> None:
-    print(f"[fbmquad] {command} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

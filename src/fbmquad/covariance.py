@@ -86,16 +86,16 @@ def cov(grid: HurstGrid, s: float, t: float) -> float:
     return 0.5 * (s**H2 + t**H2 - gap)
 
 
-def increment_gram(grid: HurstGrid, cap: int = GRAM_CAP_DEFAULT) -> np.ndarray:
-    """Dense Gram matrix [Cov(increment j, increment k)], materialized up to ``cap``.
+def increment_gram(grid: HurstGrid) -> np.ndarray:
+    """Dense Gram matrix [Cov(increment j, increment k)], up to ``GRAM_CAP_DEFAULT`` increments.
 
     The matrix is Toeplitz by stationarity; above the cap callers should work
     with lag-indexed values from :func:`rho` instead.  The returned array is
     cached and read-only.
     """
     m = grid.num_increments
-    if m > cap:
-        raise ValueError(f"grid has {m} increments, above the Gram cap {cap}")
+    if m > GRAM_CAP_DEFAULT:
+        raise ValueError(f"grid has {m} increments, above the Gram cap {GRAM_CAP_DEFAULT}")
     return _gram_cached(grid)
 
 

@@ -88,9 +88,10 @@ THRESHOLDS = {
 
 _value = operator.attrgetter("value")
 
-#: Config-file key, which is also the argparse dest of the CLI flag, ->
-#: (ExperimentConfig field, converter from text or from a parsed flag value,
+#: Config-file key, which is also the dest of the experiment commands' CLI
+#: flag, -> (ExperimentConfig field, converter from text or from a typed value,
 #: converter to the report's JSON echo, or None to leave the key out of it).
+#: An Enum converter gives its flag the Enum's values as choices.
 CONFIG_KEYS = {
     "H": ("H", float, float),
     "n": ("n_values", lambda v: v if isinstance(v, (list, tuple)) else str(v).split(","), list),
@@ -153,15 +154,18 @@ class ExperimentConfig:
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Build a config from config-file keys, which are also the CLI flag names.
 
-        Values may be text, as read from a file, or already typed, as parsed from
-        flags; ``n`` is a comma list or a sequence.
+        Values may be text, as read from a file or a flag, or already typed, as
+        in a report's echo; ``n`` is a comma list or a sequence.
         """
         kwargs = {}
         for key, value in raw.items():
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             name, parse, _ = CONFIG_KEYS[key]
-            kwargs[name] = parse(value)
+            try:
+                kwargs[name] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
         if "H" not in kwargs or "n_values" not in kwargs:
             raise ValueError("config must define at least H and n")
         return cls(**kwargs)
@@ -444,7 +448,6 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     fr = config.f.derivative(r)
     c = constant_value(fr)
     constant_fr = c is not None
-    degenerate = c == 0.0
 
     def statistic(grid: HurstGrid, values: np.ndarray) -> dict:
         out = {"statistic": float(grid.n) ** exponent * midpoint_power_sums(values, fr, r)}
@@ -470,7 +473,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
                 grid, config.f, config.t
             ),
         }
-        if degenerate or summary.variance == 0.0:
+        if summary.variance == 0.0:  # a zero f^(r) lands here
             return entry | {
                 "degenerate": True,
                 "ks_p_value": None,
@@ -489,7 +492,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     results, columns = _sweep(config, statistic, describe)
     last = results[-1]
-    if degenerate or last["degenerate"]:
+    if last["degenerate"]:
         verdicts = {
             "variance_final": True,
             "variance_trend": True,
@@ -539,6 +542,10 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"{threshold:.6g}; the probe below handles H <= threshold"
         )
     exact = config.f.degree is not None and config.f.degree <= config.scheme.exact_degree
+    if not exact and len(config.n_values) < 3:
+        raise ValueError(
+            f"rate experiment fits a slope and needs at least 3 grids, got {len(config.n_values)}"
+        )
     results, columns = _residual_sweep(config)
     target = 1.0 - 2.0 * config.scheme.error_power * config.H
     if exact:
@@ -562,6 +569,8 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
 def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
     """Behavior of the raw residual variance at and below the critical exponent."""
     threshold = float(config.scheme.critical_hurst)
+    critical = abs(config.H - threshold) <= 1e-12
+    plateau = _plateau_level(config) if critical else None  # raises before any path is drawn
     results, columns = _residual_sweep(config)
     variances = [r["variance"] for r in results]
     ses = [r["variance_se"] for r in results]
@@ -573,9 +582,8 @@ def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
             for i in range(len(variances) - 1)
         )
         verdicts = {"non_vanishing": steps_ok}
-    elif abs(config.H - threshold) <= 1e-12:
+    elif critical:
         regime = "critical"
-        plateau = _plateau_level(config)
         notes.append(f"predicted residual variance plateau {plateau!r}")
         verdicts = {"non_vanishing": variances[-1] >= THRESHOLDS["plateau_fraction"] * plateau}
     else:

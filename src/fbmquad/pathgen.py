@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covariance import GRAM_CAP_DEFAULT, HurstGrid, fgn_autocov, increment_gram
+from .covariance import HurstGrid, fgn_autocov, increment_gram
 
 #: Embedding eigenvalues in [EIGENVALUE_TOL, 0) are clamped to zero; anything
 #: below makes circulant generation raise ValueError.
@@ -228,11 +228,8 @@ def _cholesky_factor(grid: HurstGrid) -> np.ndarray:
 
 
 def _cholesky_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
-    m = grid.num_increments
-    if m > GRAM_CAP_DEFAULT:
-        raise ValueError(f"Cholesky generation needs floor(nT) <= {GRAM_CAP_DEFAULT}, got {m}")
-    factor = _cholesky_factor(grid)
-    normals = np.empty((len(seeds), m))
+    factor = _cholesky_factor(grid)  # increment_gram enforces the Gram cap
+    normals = np.empty((len(seeds), grid.num_increments))
     _fill_normals(seeds, normals)
     # a stack of matrix-vector products, one gemv per row, gives the bits of
     # ``factor @ row``; one GEMM ``normals @ factor.T`` would round differently

@@ -231,7 +231,7 @@ def fit_loglog_slope(pairs) -> SlopeFit:
     intercept = float(ly.mean() - slope * lx.mean())
     residuals = ly - (intercept + slope * lx)
     dof = len(ns) - 2
-    stderr = math.sqrt(float(np.sum(residuals**2)) / dof / sxx) if dof > 0 else 0.0
+    stderr = math.sqrt(float(np.sum(residuals**2)) / dof / sxx)
     return SlopeFit(slope=slope, stderr=stderr)
 
 

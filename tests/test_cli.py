@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -252,6 +253,41 @@ class TestSelftestAndUsage:
         assert code == 2
         assert "master_seed must be a nonnegative integer" in err
 
+    def test_bad_flag_value_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "clt", "--H", "0.1", "--n", "16", "--M", "abc")
+        assert (code, out) == (2, "")
+        assert "config key M" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("clt", "--H", "0.1", "--n", "16", "--M", "100", "--scheme", "bogus"),
+            ("diverge", "--H", "0.1", "--n", "16", "--M", "100", "--generator", "bogus"),
+        ],
+    )
+    def test_enum_flags_reject_unknown_values(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--H", "0.5"),
+            ("simulate", "--H", "0.3", "--n", "16"),
+            ("simulate", "--H", "0.3", "--n", "16", "--csv"),
+            ("integrate", "--H", "0.2", "--n", "16"),
+            ("clt", "--H", "0.1", "--n", "16", "--M", "100"),
+            ("rate", "--H", "0.25", "--n", "16", "--n", "32", "--n", "64", "--M", "100"),
+            ("diverge", "--H", "0.05", "--n", "16", "--n", "32", "--M", "100"),
+            ("selftest",),
+        ],
+    )
+    def test_one_timing_line_per_run(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        assert re.fullmatch(rf"\[fbmquad\] {argv[0]} finished in \d+\.\d\ds\n", err)
+
 
 # ---------------------------------------------------------------------------
 # config files and flags share one key vocabulary
@@ -276,7 +312,7 @@ CONFIG_VALUES = {
 
 
 def _flags(key: str, text: str) -> list[str]:
-    flag = "--slope-tol" if key == "slope_tol" else f"--{key}"
+    flag = "--" + key.replace("_", "-")
     if key == "n":
         return [arg for n in text.split(",") for arg in (flag, n)]
     return [flag, text]
@@ -284,18 +320,19 @@ def _flags(key: str, text: str) -> list[str]:
 
 class TestConfigMerge:
     @given(
+        command=st.sampled_from(["clt", "rate", "diverge"]),
         file_keys=st.sets(st.sampled_from(sorted(CONFIG_VALUES))),
         flag_keys=st.sets(st.sampled_from(sorted(CONFIG_VALUES))),
         data=st.data(),
     )
-    def test_flags_override_file_keys(self, tmp_path_factory, file_keys, flag_keys, data):
+    def test_flags_override_file_keys(self, tmp_path_factory, command, file_keys, flag_keys, data):
         file_keys |= {"H"}
         flag_keys |= {"n"}
         file_raw = {k: data.draw(CONFIG_VALUES[k], label=f"file {k}") for k in sorted(file_keys)}
         flag_raw = {k: data.draw(CONFIG_VALUES[k], label=f"flag {k}") for k in sorted(flag_keys)}
         cfg_file = tmp_path_factory.mktemp("config") / "run.cfg"
         cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in file_raw.items()))
-        argv = ["rate", "--config", str(cfg_file)]
+        argv = [command, "--config", str(cfg_file)]
         for key, text in flag_raw.items():
             argv += _flags(key, text)
         config = _config_from_args(_build_parser().parse_args(argv))

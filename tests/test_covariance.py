@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from fbmquad import HurstGrid, cov, increment_gram, rho
+from fbmquad import GRAM_CAP_DEFAULT, HurstGrid, cov, increment_gram, rho
 from oracle import abs_power_sum, increment_cov, increment_level_cov, increment_midpoint_cov
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,7 @@ class TestGram:
                 assert gram[j, k] == increment_cov(grid, j, k)
 
     def test_cap_enforced(self):
-        grid = HurstGrid(0.3, 64)
-        with pytest.raises(ValueError):
-            increment_gram(grid, cap=32)
+        # the check raises before any matrix is built
+        grid = HurstGrid(0.3, GRAM_CAP_DEFAULT + 1)
+        with pytest.raises(ValueError, match="above the Gram cap"):
+            increment_gram(grid)

@@ -46,6 +46,19 @@ PAYLOADS = st.recursive(
     max_leaves=24,
 )
 
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Arguments of every ``generate_batch`` call the experiments make."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return generate_batch(*args)
+
+    monkeypatch.setattr(experiments, "generate_batch", counting)
+    return calls
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -409,6 +422,16 @@ class TestRateExperiment:
         assert fit["target"] == pytest.approx(1.0 - 10 * 0.25)
         assert abs(fit["slope"] - fit["target"]) <= 0.5
 
+    def test_too_few_grids_fail_before_any_path(self, batch_calls):
+        cfg = ExperimentConfig(H=0.25, n_values=(16, 32), replications=100)
+        with pytest.raises(ValueError, match="at least 3 grids"):
+            run_rate_experiment(cfg)
+        assert batch_calls == []
+        # an exact f fits no slope, so two grids are enough
+        exact = dataclasses.replace(cfg, f=Polynomial([0, 0, 0, 0, 1]))
+        assert run_rate_experiment(exact).payload["fit"]["exact"] is True
+        assert batch_calls
+
 
 class TestDivergenceProbe:
     def test_below_threshold_grows(self):
@@ -424,6 +447,14 @@ class TestDivergenceProbe:
         plateau_note = report.payload["notes"][0]
         assert "plateau" in plateau_note
         assert report.payload["verdicts"]["non_vanishing"]
+
+    def test_critical_nonconstant_fr_fails_before_any_path(self, batch_calls):
+        # f = x^6 has a linear f^(5), so no plateau is predicted
+        f = Polynomial([0] * 6 + [1])
+        cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, f=f)
+        with pytest.raises(ValueError, match=r"needs constant f\^\(5\)"):
+            run_divergence_probe(cfg)
+        assert batch_calls == []
 
     def test_plateau_level_from_leading_coefficient(self):
         # (a_r c beta_r)^2 t for constant f^(r) = c, r the scheme's error power
