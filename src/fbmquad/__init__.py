@@ -27,7 +27,7 @@ from .experiments import (
     run_divergence_probe,
     run_rate_experiment,
 )
-from .hermite import ChaosExpansion, hermite_coefficients, hermite_eval, power_to_hermite
+from .hermite import ChaosExpansion, hermite_eval, power_to_hermite
 from .pathgen import (
     EIGENVALUE_TOL,
     FbmPath,
@@ -36,7 +36,6 @@ from .pathgen import (
     generate,
     generate_batch,
     replication_seeds,
-    write_path_csv,
 )
 from .schemes import (
     ErrorDecomposition,
@@ -89,9 +88,7 @@ __all__ = [
     "generate_batch",
     "replication_seeds",
     "circulant_eigenvalues",
-    "write_path_csv",
     "hermite_eval",
-    "hermite_coefficients",
     "power_to_hermite",
     "riemann_sum",
     "error_decomposition",

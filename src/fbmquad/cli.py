@@ -23,13 +23,14 @@ from .experiments import (
     DEFAULT_MASTER_SEED,
     ExperimentConfig,
     canonical_json,
+    csv_text,
     exact_identity_checks,
     read_config,
     run_clt_experiment,
     run_divergence_probe,
     run_rate_experiment,
 )
-from .pathgen import FbmPath, GeneratorKind, generate, write_path_csv
+from .pathgen import FbmPath, GeneratorKind, generate
 from .schemes import SchemeKind, cut_levels, error_decomposition, parse_test_function, riemann_sum
 
 
@@ -140,14 +141,11 @@ def _experiment_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_constants(args) -> int:
     k5, k3 = beta_terms(args.H, args.tol)
-    beta_sq = beta_squared(k5, k3)
-    if beta_sq <= 0.0:
-        raise ValueError(f"variance constant came out nonpositive: {beta_sq}")
     payload = {
         "H": args.H,
         "kappa3": k3.value,
         "kappa5": k5.value,
-        "beta": math.sqrt(beta_sq),
+        "beta": math.sqrt(beta_squared(k5, k3)),
         "tol": args.tol,
         "truncation_P": max(k3.truncation_P, k5.truncation_P),
         "tail_bound_kappa3": k3.tail_bound,
@@ -164,19 +162,17 @@ def _make_path(args) -> FbmPath:
 
 def _cmd_simulate(args) -> int:
     path = _make_path(args)
+    columns = {"t": path.grid.times(), "B": path.values}
     payload = {key: getattr(args, key) for key in ("H", "n", "T", "seed", "generator")}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_path_csv(path, fh)
+            fh.write(csv_text(columns))
         payload |= {"rows": len(path.values), "out": args.out}  # data rows, one per grid point
     elif args.csv:
-        write_path_csv(path, sys.stdout)
+        sys.stdout.write(csv_text(columns))
         return 0
     else:
-        payload |= {
-            "t": [float(x) for x in path.grid.times()],
-            "B": [float(x) for x in path.values],
-        }
+        payload |= {key: column.tolist() for key, column in columns.items()}
     print(canonical_json(payload))
     return 0
 

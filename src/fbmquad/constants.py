@@ -75,18 +75,17 @@ def kappa(m: int, H: float, tol: float = 1e-10) -> KappaResult:
 
 def beta(H: float = 0.1, tol: float = 1e-10) -> float:
     """The paper's standard-deviation constant beta_5, for Simpson sums."""
-    radicand = beta_squared(*beta_terms(H, tol))
-    if radicand <= 0.0:
-        # The radicand is a limit variance, hence nonnegative; reaching this
-        # line means a computation defect, not a value to clamp.
-        raise ArithmeticError(f"variance constant came out nonpositive: {radicand}")
-    return math.sqrt(radicand)
+    return math.sqrt(beta_squared(*beta_terms(H, tol)))
 
 
 def beta_squared(*kappas: KappaResult) -> float:
     """The limit variance constant beta_r^2 = sum_q w_q kappa_q over the sums of ``beta_terms``."""
     weights = dict(_chaos_weights(max(k.m for k in kappas)))
-    return sum(float(weights[k.m]) * k.value for k in kappas)
+    beta_sq = sum(float(weights[k.m]) * k.value for k in kappas)
+    if beta_sq <= 0.0:
+        # a limit variance is nonnegative: a computation defect, not a value to clamp
+        raise ArithmeticError(f"variance constant came out nonpositive: {beta_sq}")
+    return beta_sq
 
 
 def beta_terms(H: float, tol: float = 1e-10, r: int = 5) -> tuple[KappaResult, ...]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,17 +85,25 @@ def cov(grid: HurstGrid, s: float, t: float) -> float:
     return 0.5 * (s**H2 + t**H2 - gap)
 
 
+def check_gram_cap(grid: HurstGrid) -> None:
+    """Raise ValueError if the grid has more than ``GRAM_CAP_DEFAULT`` increments."""
+    m = grid.num_increments
+    if m > GRAM_CAP_DEFAULT:
+        raise ValueError(f"grid has {m} increments, above the Gram cap {GRAM_CAP_DEFAULT}")
+
+
 def increment_gram(grid: HurstGrid) -> np.ndarray:
     """Dense Gram matrix [Cov(increment j, increment k)], up to ``GRAM_CAP_DEFAULT`` increments.
 
     The matrix is Toeplitz by stationarity; above the cap callers should work
-    with lag-indexed values from :func:`rho` instead.  The returned array is
-    cached and read-only.
+    with lag-indexed values from :func:`rho` instead.  Each call builds a new
+    array.
     """
+    check_gram_cap(grid)
     m = grid.num_increments
-    if m > GRAM_CAP_DEFAULT:
-        raise ValueError(f"grid has {m} increments, above the Gram cap {GRAM_CAP_DEFAULT}")
-    return _gram_cached(grid)
+    row = fgn_autocov(grid, m - 1)
+    idx = np.arange(m)
+    return row[np.abs(idx[:, None] - idx[None, :])]
 
 
 def fgn_autocov(grid: HurstGrid, max_lag: int | None = None) -> np.ndarray:
@@ -116,12 +123,3 @@ def _check_time(grid: HurstGrid, t: float) -> None:
     if not 0.0 <= t <= grid.T:
         raise ValueError(f"time {t} outside [0, {grid.T}]")
 
-
-@lru_cache(maxsize=8)
-def _gram_cached(grid: HurstGrid) -> np.ndarray:
-    m = grid.num_increments
-    row = fgn_autocov(grid, m - 1)
-    idx = np.arange(m)
-    gram = row[np.abs(idx[:, None] - idx[None, :])]
-    gram.setflags(write=False)
-    return gram

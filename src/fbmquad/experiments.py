@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from .constants import beta_squared, beta_terms
-from .covariance import HurstGrid, cov, floor_index, rho
+from .covariance import HurstGrid, check_gram_cap, cov, floor_index, rho
 from .hermite import SUPPORTED_POWERS, hermite_eval, power_to_hermite
 from .pathgen import FbmPath, GeneratorKind, generate_batch, replication_seeds
 from .schemes import (
@@ -94,7 +94,11 @@ _value = operator.attrgetter("value")
 #: An Enum converter gives its flag the Enum's values as choices.
 CONFIG_KEYS = {
     "H": ("H", float, float),
-    "n": ("n_values", lambda v: v if isinstance(v, (list, tuple)) else str(v).split(","), list),
+    "n": (
+        "n_values",
+        lambda v: [int(n) for n in (v if isinstance(v, (list, tuple)) else str(v).split(","))],
+        list,
+    ),
     "M": ("replications", int, int),
     "t": ("t", float, float),
     "seed": ("master_seed", int, int),
@@ -195,9 +199,10 @@ class ExperimentReport:
     """Canonical JSON payload plus the per-replication table behind it.
 
     ``columns`` maps each CSV field (replication, seed, n, B_t, statistic) to a
-    numpy column with one entry per replication per grid.  Wall-clock time is
-    kept out of the payload so that reports with equal configurations are
-    byte-identical; the CLI logs timing to stderr.
+    numpy column with one entry per replication per grid, written by
+    :func:`csv_text`.  Wall-clock time is kept out of the payload so that
+    reports with equal configurations are byte-identical; the CLI logs timing
+    to stderr.
     """
 
     payload: dict
@@ -211,10 +216,15 @@ class ExperimentReport:
         return canonical_json(self.payload)
 
     def csv_text(self) -> str:
-        """The table as CSV: a header, then one line per row, floats in shortest round-trip form."""
-        rows = zip(*(column.tolist() for column in self.columns.values()))
-        lines = [",".join(self.columns)] + [",".join(map(repr, row)) for row in rows]
-        return "\n".join(lines) + "\n"
+        """The per-replication table as CSV, by :func:`csv_text`."""
+        return csv_text(self.columns)
+
+
+def csv_text(columns: dict[str, np.ndarray]) -> str:
+    """The one CSV writer: a header, then one line per row, floats in shortest round-trip form."""
+    rows = zip(*(column.tolist() for column in columns.values()))
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def canonical_json(payload) -> str:
@@ -382,14 +392,16 @@ def _sweep(config: ExperimentConfig, statistic, describe):
     grid's results entry; data holds the concatenated arrays plus ``b_end``
     and ``seed``.
     """
+    grids = [HurstGrid(config.H, n, T=config.t) for n in config.n_values]
+    if config.generator is GeneratorKind.CHOLESKY_EXACT:
+        check_gram_cap(grids[-1])  # the largest grid, before the first path is drawn
     results, data = [], []
-    for i, n in enumerate(config.n_values):
-        grid = HurstGrid(config.H, n, T=config.t)
+    for i, grid in enumerate(grids):
         data.append(_run_replicated(config, grid, i, partial(statistic, grid)))
         summary = summarize(data[-1]["statistic"])
         results.append(
             {
-                "n": int(n),
+                "n": grid.n,
                 "count": summary.count,
                 "mean": summary.mean,
                 "variance": summary.variance,

@@ -3,13 +3,15 @@
 The recurrence H_{q+1}(x) = x H_q(x) - q H_{q-1}(x) with H_0 = 1, H_1 = x
 generates the probabilists' Hermite family normalized to leading coefficient
 one, so E[H_p(N) H_q(N)] = q! 1{p=q} for a standard normal N.  Odd monomials
-expand exactly as x^r = sum_p C(r, p) H_{r-2p}(x) with integer coefficients;
-those coefficients drive the chaos decomposition of increment powers used by
-the variance analysis.
+expand exactly as x^r = sum_p C(r, p) H_{r-2p}(x) with the integer
+coefficients C(r, p) = r! / (2^p p! (r-2p)!), the number of ways to pair off p
+disjoint pairs among r factors; they drive the chaos decomposition of
+increment powers used by the variance analysis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,22 +35,6 @@ def hermite_eval(q: int, x):
     return float(cur) if x.ndim == 0 else cur
 
 
-def hermite_coefficients(q: int) -> tuple[int, ...]:
-    """Exact integer monomial coefficients of H_q, lowest degree first."""
-    if q < 0:
-        raise ValueError(f"order q must be >= 0, got {q}")
-    prev = [1]
-    if q == 0:
-        return (1,)
-    cur = [0, 1]
-    for degree in range(1, q):
-        nxt = [0] + cur  # x * H_degree
-        for i, c in enumerate(prev):
-            nxt[i] -= degree * c
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
 @dataclass(frozen=True)
 class ChaosExpansion:
     """Integer coefficients C(r, p) with x^r = sum_p C(r, p) H_{r-2p}(x)."""
@@ -68,19 +54,10 @@ class ChaosExpansion:
 def power_to_hermite(r: int) -> ChaosExpansion:
     """Expand the odd monomial x^r over the Hermite basis, exactly in integers.
 
-    Computed by back substitution in the (upper triangular) change of basis:
-    peel off the leading Hermite polynomial of matching degree until the
-    monomial is exhausted.  C(r, 0) = 1 always.
+    C(r, p) = r! / (2^p p! (r-2p)!) for p = 0..(r-1)/2; C(r, 0) = 1 always.
     """
     if r not in SUPPORTED_POWERS:
         raise ValueError(f"power must be one of {SUPPORTED_POWERS}, got {r}")
-    residual = [0] * r + [1]  # coefficients of x^r, lowest degree first
-    coeffs = []
-    for q in range(r, 0, -2):
-        c = residual[q]
-        coeffs.append(c)
-        for i, hc in enumerate(hermite_coefficients(q)):
-            residual[i] -= c * hc
-    if any(residual):
-        raise AssertionError("expansion did not terminate exactly")
-    return ChaosExpansion(power=r, coeffs=tuple(coeffs))
+    f = math.factorial
+    coeffs = tuple(f(r) // (2**p * f(p) * f(r - 2 * p)) for p in range(r // 2 + 1))
+    return ChaosExpansion(power=r, coeffs=coeffs)

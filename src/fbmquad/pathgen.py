@@ -23,7 +23,6 @@ re-keyed for each row.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -125,14 +124,6 @@ def circulant_eigenvalues(grid: HurstGrid) -> np.ndarray:
     gamma = fgn_autocov(grid, m)
     first_row = np.concatenate([gamma, gamma[m - 1 : 0 : -1]])
     return np.fft.fft(first_row).real
-
-
-def write_path_csv(path: FbmPath, stream=None) -> None:
-    """Dump a path as CSV with header ``t,B``, one row per grid point."""
-    out = stream if stream is not None else sys.stdout
-    out.write("t,B\n")
-    for t, b in zip(path.grid.times(), path.values):
-        out.write(f"{float(t)!r},{float(b)!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ allocate-per-step forms of the samplers, test functions and statistics, as
 oracles for the package's vectorized Gram matrix, seed windows, samplers,
 cached derivatives and in-place quadrature kernels.  ``error_statistic``
 keeps Simpson's single-path error statistic as the reference for the batch
-kernel.
+kernel, and ``hermite_coefficients`` the monomial coefficients of H_q, by the
+recurrence, as the reference for the closed-form chaos expansion.
 """
 
 import numpy as np
@@ -151,6 +152,22 @@ def pow_midpoint_terms(values: np.ndarray, g, r: int) -> np.ndarray:
 def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
     """sum_j f^(5)(midpoint_j) dB_j^5, the statistic driving critical fluctuations."""
     return float(midpoint_power_sums(cut_levels(path, t), f.derivative(5), 5)[0])
+
+
+def hermite_coefficients(q: int) -> tuple[int, ...]:
+    """Exact integer monomial coefficients of H_q, lowest degree first."""
+    if q < 0:
+        raise ValueError(f"order q must be >= 0, got {q}")
+    prev = [1]
+    if q == 0:
+        return (1,)
+    cur = [0, 1]
+    for degree in range(1, q):
+        nxt = [0] + cur  # x * H_degree
+        for i, c in enumerate(prev):
+            nxt[i] -= degree * c
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 def kfold_derivative(coeffs, k: int) -> tuple:

@@ -258,6 +258,11 @@ class TestSelftestAndUsage:
         assert (code, out) == (2, "")
         assert "config key M" in err
 
+    def test_bad_grid_size_names_its_key(self, capsys):
+        code, out, err = run_cli(capsys, "clt", "--H", "0.1", "--n", "16,32", "--M", "100")
+        assert (code, out) == (2, "")
+        assert "config key n: invalid literal for int()" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

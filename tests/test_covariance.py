@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from fbmquad import GRAM_CAP_DEFAULT, HurstGrid, cov, increment_gram, rho
+from fbmquad import (
+    GRAM_CAP_DEFAULT,
+    GeneratorKind,
+    HurstGrid,
+    cov,
+    generate_batch,
+    increment_gram,
+    pathgen,
+    rho,
+)
 from oracle import abs_power_sum, increment_cov, increment_level_cov, increment_midpoint_cov
 
 # ---------------------------------------------------------------------------
@@ -289,3 +298,16 @@ class TestGram:
         grid = HurstGrid(0.3, GRAM_CAP_DEFAULT + 1)
         with pytest.raises(ValueError, match="above the Gram cap"):
             increment_gram(grid)
+
+    def test_returned_array_is_the_callers(self):
+        # each call builds a new matrix, so writing to one reaches neither a
+        # later call nor a Cholesky factor built after the write
+        grid = HurstGrid(0.2, 32)
+        chol = GeneratorKind.CHOLESKY_EXACT
+        paths = generate_batch(grid, chol, [1, 2])
+        gram = increment_gram(grid)
+        expected = gram.copy()
+        gram[:] = 0.0
+        pathgen._cholesky_factor.cache_clear()
+        assert np.array_equal(increment_gram(grid), expected)
+        assert np.array_equal(generate_batch(grid, chol, [1, 2]), paths)

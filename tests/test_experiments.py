@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmquad import (
+    GRAM_CAP_DEFAULT,
     ExperimentConfig,
     experiments,
     GeneratorKind,
@@ -453,6 +454,18 @@ class TestDivergenceProbe:
         f = Polynomial([0] * 6 + [1])
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, f=f)
         with pytest.raises(ValueError, match=r"needs constant f\^\(5\)"):
+            run_divergence_probe(cfg)
+        assert batch_calls == []
+
+    def test_gram_cap_fails_before_any_path(self, batch_calls):
+        # the first grid is within the Gram cap, the last is not
+        cfg = ExperimentConfig(
+            H=0.05,
+            n_values=(16, 2 * GRAM_CAP_DEFAULT),
+            replications=100,
+            generator=GeneratorKind.CHOLESKY_EXACT,
+        )
+        with pytest.raises(ValueError, match="above the Gram cap"):
             run_divergence_probe(cfg)
         assert batch_calls == []
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from fbmquad import ChaosExpansion, hermite_coefficients, hermite_eval, power_to_hermite
+from fbmquad import ChaosExpansion, hermite_eval, power_to_hermite
 from fbmquad.hermite import SUPPORTED_POWERS
+from oracle import hermite_coefficients
 
 # ---------------------------------------------------------------------------
 # evaluation

@@ -1,6 +1,5 @@
 """Path generators: reproducibility, law correctness, embedding health."""
 
-import io
 import math
 import tracemalloc
 
@@ -22,8 +21,8 @@ from fbmquad import (
     generate_batch,
     increment_gram,
     replication_seeds,
-    write_path_csv,
 )
+from fbmquad.experiments import csv_text
 from oracle import fresh_stream, increments, midpoints, per_row_levels, replication_seed
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
@@ -335,9 +334,8 @@ class TestCsv:
     def test_round_trip(self):
         grid = HurstGrid(0.1, 16)
         path = generate(grid, CIRC, 42)
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        lines = buf.getvalue().strip().splitlines()
+        text = csv_text({"t": path.grid.times(), "B": path.values})
+        lines = text.strip().splitlines()
         assert lines[0] == "t,B"
         assert len(lines) == 18  # header + 17 grid points
         ts, bs = zip(*(map(float, line.split(",")) for line in lines[1:]))
