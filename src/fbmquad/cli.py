@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``constants``, ``simulate``, ``integrate``, ``clt``, ``rate``,
-``diverge``, ``selftest``.  Results go to stdout as canonical JSON (CSV with
---csv where applicable); ``main`` writes one timing line per run to stderr.
+``diverge``, ``selftest``.  Results go to stdout as canonical JSON, or as CSV
+with --csv where applicable; --out also writes the CSV to a file.  ``main``
+writes one timing line per run to stderr.
 The experiment commands get one flag per ``CONFIG_KEYS`` key, kept as text for
 ``ExperimentConfig.from_mapping``.  Exit codes: 0 success and all verdicts
 pass, 1 verdict failure, 2 usage or config error.
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample one trajectory")
     _grid_flags(p)
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    p.add_argument("--out", help="write CSV (t,B) here instead of JSON to stdout")
+    p.add_argument("--out", help="write CSV (t,B) here; the JSON then omits the path")
     p.add_argument("--csv", action="store_true", help="emit CSV on stdout")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -160,20 +161,27 @@ def _make_path(args) -> FbmPath:
     return generate(grid, GeneratorKind(args.generator), args.seed)
 
 
+def _emit(args, columns: dict, payload: dict) -> None:
+    """Write the CSV of ``columns`` to --out if given, then print it with --csv, else the JSON."""
+    text = csv_text(columns) if args.out or args.csv else None
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if args.csv:
+        sys.stdout.write(text)
+    else:
+        print(canonical_json(payload))
+
+
 def _cmd_simulate(args) -> int:
     path = _make_path(args)
     columns = {"t": path.grid.times(), "B": path.values}
     payload = {key: getattr(args, key) for key in ("H", "n", "T", "seed", "generator")}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text(columns))
         payload |= {"rows": len(path.values), "out": args.out}  # data rows, one per grid point
-    elif args.csv:
-        sys.stdout.write(csv_text(columns))
-        return 0
     else:
         payload |= {key: column.tolist() for key, column in columns.items()}
-    print(canonical_json(payload))
+    _emit(args, columns, payload)
     return 0
 
 
@@ -206,13 +214,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     report = args.runner(_config_from_args(args))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.csv_text())
-    if args.csv:
-        sys.stdout.write(report.csv_text())
-    else:
-        print(report.to_json())
+    _emit(args, report.columns, report.payload)
     return 0 if report.overall_pass else 1
 
 

@@ -53,7 +53,7 @@ def kappa(m: int, H: float, tol: float = 1e-10) -> KappaResult:
         raise ValueError(f"m must be an odd integer >= 3, got {m}")
     if not 0.0 < H < 1.0:
         raise ValueError(f"H must lie in (0, 1), got {H}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     decay = m * (2.0 - 2.0 * H)  # |rho(p)^m| ~ p^{-decay}
     if decay <= 1.0:

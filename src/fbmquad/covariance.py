@@ -47,8 +47,8 @@ class HurstGrid:
             raise ValueError(f"H must lie in the open interval (0, 1), got {self.H}")
         if self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.num_increments < 2:
             raise ValueError("grid must have at least 3 points, i.e. floor(nT) >= 2")
 
@@ -106,10 +106,8 @@ def increment_gram(grid: HurstGrid) -> np.ndarray:
     return row[np.abs(idx[:, None] - idx[None, :])]
 
 
-def fgn_autocov(grid: HurstGrid, max_lag: int | None = None) -> np.ndarray:
+def fgn_autocov(grid: HurstGrid, max_lag: int) -> np.ndarray:
     """Autocovariance gamma(k) = n^{-2H} rho(k)/2 of the increment sequence, k = 0..max_lag."""
-    if max_lag is None:
-        max_lag = grid.num_increments
     lags = np.arange(max_lag + 1)
     return grid.n ** (-2.0 * grid.H) * rho(lags, grid.H) / 2.0
 

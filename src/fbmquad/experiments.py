@@ -20,17 +20,21 @@ n_index * M + r), so results are bit-identical for any worker pool size.
 Replications are cut into work items of up to 64 rows, fewer at large m so
 that an item holds at most ``_CHUNK_INCREMENTS`` increments (but always one
 row); each is reduced to the experiment's per-replication statistic by the
-row-wise kernels of ``schemes`` and reassembled in replication order.  Rows
-are independent, so the item size never changes the output.  The sweep fills
+row-wise kernels of ``schemes`` and reassembled in replication order.  One
+thread pool per run works through the items, grid after grid; with threads
+<= 1 they run in the calling thread.  Rows are independent, so neither the
+item size nor the thread count changes the output.  The sweep fills
 the summary fields every results entry shares and the per-replication columns
 (replication, seed, n, B_t, statistic); each experiment adds only its own
 fields and verdicts, and one builder assembles the report.
 
-A run is described by one frozen ``ExperimentConfig``, the only validator of
-its settings.  Config files and CLI flags share one key vocabulary and both
-reach it through ``ExperimentConfig.from_mapping``; a report echoes its config
-under the same keys.  The verdict thresholds are fixed (``THRESHOLDS``), so no
-config can loosen a verdict.
+A run is described by one frozen ``ExperimentConfig``, which converts and
+validates its settings; the checks that need a grid (floor(nt) >= 2, the
+Cholesky Gram cap) run when ``_sweep`` builds the grids, still before the
+first path is drawn.  Config files and CLI flags share one key vocabulary and
+both reach it through ``ExperimentConfig.from_mapping``; a report echoes its
+config under the same keys.  The verdict thresholds are fixed
+(``THRESHOLDS``), so no config can loosen a verdict.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one Monte Carlo run, and the only validator of its settings."""
+    """Declarative description of one Monte Carlo run, and the validator of its settings."""
 
     H: float
     n_values: tuple[int, ...]
@@ -137,8 +141,8 @@ class ExperimentConfig:
             raise ValueError(f"n_values must be strictly increasing, got {self.n_values}")
         if self.replications < 100:
             raise ValueError(f"need at least 100 replications, got {self.replications}")
-        if not self.t > 0.0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {self.t}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
 
@@ -175,13 +179,10 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def read_config(path_or_stream) -> dict[str, str]:
-    """Raw ``key = value`` pairs of a config file (``#`` starts a comment)."""
-    if hasattr(path_or_stream, "read"):
-        text = path_or_stream.read()
-    else:
-        with open(path_or_stream, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def read_config(path) -> dict[str, str]:
+    """Raw ``key = value`` pairs of the config file at ``path`` (``#`` starts a comment)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -345,71 +346,54 @@ def exact_identity_checks() -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None or threads <= 0:
-        return os.cpu_count() or 1
-    return threads
-
-
-def _run_replicated(config: ExperimentConfig, grid: HurstGrid, n_index: int, per_chunk):
-    """Generate all replications for one grid and apply per_chunk to each batch.
-
-    per_chunk(values) maps a (rows, floor(nT)+1) matrix of paths to a dict of
-    per-replication arrays; each item adds the terminal levels ``b_end`` and
-    the stream ``seed`` of its rows.  An item holds max(1, min(_CHUNK,
-    _CHUNK_INCREMENTS // m)) rows for m = floor(nT) increments.  Rows are
-    independent and the items are reassembled in replication order, so
-    neither the item size nor the thread count changes the output.
-    """
-    M = config.replications
-    rows = max(1, min(_CHUNK, _CHUNK_INCREMENTS // grid.num_increments))
-    bounds = [(lo, min(lo + rows, M)) for lo in range(0, M, rows)]
-
-    def worker(lo: int, hi: int):
-        seeds = replication_seeds(config.master_seed, n_index * M + lo, n_index * M + hi)
-        values = generate_batch(grid, config.generator, seeds)
-        out = per_chunk(values)
-        out["b_end"] = values[:, -1].copy()
-        out["seed"] = seeds
-        return out
-
-    threads = _resolve_threads(config.threads)
-    if threads <= 1 or len(bounds) == 1:
-        pieces = [worker(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(lambda b: worker(*b), bounds))
-    return {key: np.concatenate([p[key] for p in pieces]) for key in pieces[0]}
-
-
 def _sweep(config: ExperimentConfig, statistic, describe):
     """Run every grid of the sweep; returns the results entries and the CSV columns.
 
-    statistic(grid, values) maps a work item's paths to a dict of
-    per-replication arrays, among them ``"statistic"``, the value summarized
-    and written to the CSV.  describe(grid, data, summary) returns the fields
-    that follow the shared n, count, mean, variance and variance_se of the
-    grid's results entry; data holds the concatenated arrays plus ``b_end``
-    and ``seed``.
+    statistic(grid, values) maps a work item's (rows, floor(nT)+1) matrix of
+    paths to a dict of per-replication arrays, among them ``"statistic"``, the
+    value summarized and written to the CSV.  An item holds max(1, min(_CHUNK,
+    _CHUNK_INCREMENTS // m)) rows for m = floor(nT) increments and adds the
+    terminal levels ``b_end`` and the stream ``seed`` of its rows.  One pool
+    runs the items of every grid, unless threads <= 1, when they run in this
+    thread.  Rows are independent and the items are reassembled in replication
+    order, so neither the item size nor the thread count changes the output.
+    describe(grid, data, summary) returns the fields that follow the shared n,
+    count, mean, variance and variance_se of the grid's results entry; data
+    holds the concatenated arrays.
     """
     grids = [HurstGrid(config.H, n, T=config.t) for n in config.n_values]
     if config.generator is GeneratorKind.CHOLESKY_EXACT:
         check_gram_cap(grids[-1])  # the largest grid, before the first path is drawn
-    results, data = [], []
-    for i, grid in enumerate(grids):
-        data.append(_run_replicated(config, grid, i, partial(statistic, grid)))
-        summary = summarize(data[-1]["statistic"])
-        results.append(
-            {
-                "n": grid.n,
-                "count": summary.count,
-                "mean": summary.mean,
-                "variance": summary.variance,
-                "variance_se": summary.variance_se,
-                **describe(grid, data[-1], summary),
-            }
-        )
     M = config.replications
+    threads = config.threads if config.threads and config.threads > 0 else os.cpu_count() or 1
+
+    def item(i: int, grid: HurstGrid, lo: int, hi: int) -> dict:
+        seeds = replication_seeds(config.master_seed, i * M + lo, i * M + hi)
+        values = generate_batch(grid, config.generator, seeds)
+        out = statistic(grid, values)
+        out["b_end"] = values[:, -1].copy()
+        out["seed"] = seeds
+        return out
+
+    results, data = [], []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for i, grid in enumerate(grids):
+            rows = max(1, min(_CHUNK, _CHUNK_INCREMENTS // grid.num_increments))
+            los = range(0, M, rows)
+            run = pool.map if threads > 1 and len(los) > 1 else map
+            pieces = list(run(partial(item, i, grid), los, [min(lo + rows, M) for lo in los]))
+            data.append({key: np.concatenate([p[key] for p in pieces]) for key in pieces[0]})
+            summary = summarize(data[-1]["statistic"])
+            results.append(
+                {
+                    "n": grid.n,
+                    "count": summary.count,
+                    "mean": summary.mean,
+                    "variance": summary.variance,
+                    "variance_se": summary.variance_se,
+                    **describe(grid, data[-1], summary),
+                }
+            )
     columns = {
         "replication": np.tile(np.arange(M), len(data)),
         "seed": np.concatenate([d["seed"] for d in data]),

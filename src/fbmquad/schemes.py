@@ -5,7 +5,8 @@ every increment and weighting so the weights sum to one: midpoint (node 1/2),
 trapezoid (nodes 0, 1), Simpson (nodes 0, 1/2, 1; weights 1/6, 4/6, 1/6) and
 Milne, i.e. Boole (nodes 0, 1/4, 1/2, 3/4, 1; weights 7, 32, 12, 32, 7 over 90).
 
-The table holds only the nodes and weights; every error law follows from them.
+The scheme table is the ``SchemeKind`` members: each is defined by its name,
+nodes and weights, and every error law follows from them.
 Expanding both f' at the nodes and f(B_{j+1}) - f(B_j) about the midpoint
 gives, per increment and exactly for polynomial f,
 
@@ -15,8 +16,8 @@ gives, per increment and exactly for polynomial f,
 
 Even r drop out because every rule is symmetric about 1/2, and a_1 = 0 because
 the weights sum to one.  A polynomial of degree <= 10 has no term past r = 9.
-The exact coefficients are computed once per scheme, when the table is
-built.  Simpson's are the paper's constants at r = 5, 7, 9; the others begin
+The exact coefficients are computed once per scheme, when its member is
+created.  Simpson's are the paper's constants at r = 5, 7, 9; the others begin
 
     rule       r = 3    r = 5      r = 7
     midpoint   -1/24    -1/1920    -1/322560
@@ -40,7 +41,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,30 +55,50 @@ F = Fraction
 
 
 class SchemeKind(Enum):
-    MIDPOINT = "midpoint"
-    TRAPEZOID = "trapezoid"
-    SIMPSON = "simpson"
-    MILNE = "milne"
+    """The scheme table: each member holds its nodes and weights, and derives its error law once."""
+
+    MIDPOINT = "midpoint", [F(1, 2)], [1]
+    TRAPEZOID = "trapezoid", [0, 1], [F(1, 2), F(1, 2)]
+    SIMPSON = "simpson", [0, F(1, 2), 1], [F(1, 6), F(4, 6), F(1, 6)]
+    MILNE = "milne", [0, F(1, 4), F(1, 2), F(3, 4), 1], [F(w, 90) for w in (7, 32, 12, 32, 7)]
+
+    def __new__(cls, value: str, offsets, weights):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._offsets = offsets = tuple(F(c) for c in offsets)
+        member._weights = weights = tuple(F(w) for w in weights)
+
+        def coefficient(r: int) -> Fraction:
+            moment = sum(w * (c - F(1, 2)) ** (r - 1) for c, w in zip(offsets, weights))
+            return moment / math.factorial(r - 1) - F(2) ** (1 - r) / math.factorial(r)
+
+        member._coefficients = {r: coefficient(r) for r in ERROR_POWERS}
+        member._power = next(r for r, a in member._coefficients.items() if a)
+        # (r, float(a_r)) from the error power on, the terms of error_decomposition
+        member._error_terms = tuple(
+            (r, float(a)) for r, a in member._coefficients.items() if r >= member._power
+        )
+        return member
 
     @property
     def offsets(self) -> tuple[Fraction, ...]:
         """Node positions inside an increment, as fractions of dB."""
-        return _SCHEMES[self].offsets
+        return self._offsets
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
         """Node weights; sum to 1 exactly."""
-        return _SCHEMES[self].weights
+        return self._weights
 
     @property
     def error_coefficients(self) -> dict[int, Fraction]:
         """Exact a_r for r in ERROR_POWERS: the rule's error is sum_r a_r f^(r)(mid) dB^r."""
-        return dict(_SCHEMES[self].error_coefficients)
+        return dict(self._coefficients)
 
     @property
     def error_power(self) -> int:
         """Power r of dB in the leading error term sum f^(r)(mid) dB^r."""
-        return _SCHEMES[self].error_power
+        return self._power
 
     @property
     def critical_hurst(self) -> Fraction:
@@ -89,39 +109,6 @@ class SchemeKind(Enum):
     def exact_degree(self) -> int:
         """Largest polynomial degree of f reproduced exactly on any path."""
         return self.error_power - 1
-
-
-class _Rule(NamedTuple):
-    offsets: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
-    error_coefficients: tuple[tuple[int, Fraction], ...]  # (r, a_r), r in ERROR_POWERS
-    error_power: int
-    error_terms: tuple[tuple[int, float], ...]  # (r, float(a_r)) from the error power on
-
-
-def _rule(offsets, weights) -> _Rule:
-    """A table row: the nodes and weights, and the error law they imply."""
-    offsets = tuple(F(c) for c in offsets)
-    weights = tuple(F(w) for w in weights)
-
-    def coefficient(r: int) -> Fraction:
-        moment = sum(w * (c - F(1, 2)) ** (r - 1) for c, w in zip(offsets, weights))
-        return moment / math.factorial(r - 1) - F(2) ** (1 - r) / math.factorial(r)
-
-    coefficients = tuple((r, coefficient(r)) for r in ERROR_POWERS)
-    power = next(r for r, a in coefficients if a)
-    terms = tuple((r, float(a)) for r, a in coefficients if r >= power)
-    return _Rule(offsets, weights, coefficients, power, terms)
-
-
-_SCHEMES = {
-    SchemeKind.MIDPOINT: _rule([F(1, 2)], [1]),
-    SchemeKind.TRAPEZOID: _rule([0, 1], [F(1, 2), F(1, 2)]),
-    SchemeKind.SIMPSON: _rule([0, F(1, 2), 1], [F(1, 6), F(4, 6), F(1, 6)]),
-    SchemeKind.MILNE: _rule(
-        [0, F(1, 4), F(1, 2), F(3, 4), 1], [F(w, 90) for w in (7, 32, 12, 32, 7)]
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +389,7 @@ def error_decomposition(
     # and leaves every other value as it is
     terms = {
         r: coef * float(midpoint_power_sums(values, f.derivative(r), r)[0]) + 0.0
-        for r, coef in _SCHEMES[kind].error_terms
+        for r, coef in kind._error_terms
     }
     return ErrorDecomposition(main=main, terms=terms)
 

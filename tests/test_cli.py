@@ -86,6 +86,15 @@ class TestSimulateCommand:
         assert code == 0
         assert out.splitlines()[0] == "t,B"
 
+    def test_out_and_csv_write_and_print_the_csv(self, capsys, tmp_path):
+        out_file = tmp_path / "path.csv"
+        argv = ("simulate", "--H", "0.3", "--n", "16", "--seed", "1")
+        _, expected, _ = run_cli(capsys, *argv, "--csv")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_file), "--csv")
+        assert code == 0
+        assert out == expected
+        assert out_file.read_text() == expected
+
 
 class TestIntegrateCommand:
     def test_simpson_exact_on_quartic(self, capsys):
@@ -274,6 +283,23 @@ class TestSelftestAndUsage:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [
+            (("clt", "--H", "0.1", "--n", "16", "--n", "32", "--M", "100", "--t", "inf"), "t"),
+            (("simulate", "--H", "0.1", "--n", "8", "--T", "inf"), "T"),
+            (("constants", "--H", "0.1", "--tol", "nan"), "tol"),
+            (("clt", "--H", "0.1", "--n", "16", "--n", "32", "--M", "100", "--tol", "nan"), "tol"),
+            (("clt", "--H", "nan", "--n", "16", "--n", "32", "--M", "100"), "H"),
+            (("simulate", "--H", "0.1", "--n", "1"), "n"),
+        ],
+    )
+    def test_bad_inputs_exit_2_without_traceback(self, capsys, argv, setting):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {setting} must ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

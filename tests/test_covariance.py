@@ -1,7 +1,11 @@
 """Covariance kernel: closed forms against brute-force and high-precision oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from fbmquad import (
@@ -14,6 +18,7 @@ from fbmquad import (
     pathgen,
     rho,
 )
+from fbmquad.covariance import floor_index
 from oracle import abs_power_sum, increment_cov, increment_level_cov, increment_midpoint_cov
 
 # ---------------------------------------------------------------------------
@@ -70,6 +75,19 @@ class TestGridValidation:
         # floor(nT) = 1 < 2
         with pytest.raises(ValueError):
             HurstGrid(0.3, 2, T=0.6)
+
+
+class TestFloorIndex:
+    @given(st.integers(2, 2**20), st.data())
+    def test_grid_times_snap_to_their_index(self, n, data):
+        k = data.draw(st.integers(0, 4 * n))
+        assert floor_index(n, k / n) == k
+
+    @given(st.integers(2, 2**20), st.floats(0.0, 4.0))
+    def test_times_clear_of_the_next_integer_floor(self, n, t):
+        v = n * t
+        assume(math.floor(v) + 1 - v > 1e-9 * max(1.0, v))
+        assert floor_index(n, t) == math.floor(v)
 
 
 # ---------------------------------------------------------------------------

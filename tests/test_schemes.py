@@ -101,6 +101,29 @@ class TestSchemeTable:
             assert list(a[scheme]) == list(ERROR_POWERS)
             assert min(r for r, coef in a[scheme].items() if coef) == scheme.error_power
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "name",
+            "value",
+            "offsets",
+            "weights",
+            "error_coefficients",
+            "error_power",
+            "critical_hurst",
+            "exact_degree",
+        ],
+    )
+    def test_public_attributes_are_read_only(self, name):
+        for scheme in SchemeKind:
+            with pytest.raises(AttributeError):
+                setattr(scheme, name, getattr(scheme, name))
+
+    def test_error_coefficients_are_a_fresh_dict(self):
+        a = SchemeKind.SIMPSON.error_coefficients
+        a[5] = Fraction(0)
+        assert SchemeKind.SIMPSON.error_coefficients[5] == Fraction(1, 2880)
+
 
 # ---------------------------------------------------------------------------
 # test functions
