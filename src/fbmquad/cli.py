@@ -17,7 +17,7 @@ import sys
 import time
 from enum import EnumMeta
 
-from .constants import beta_squared, beta_terms
+from .constants import DEFAULT_TOL, beta_squared, beta_terms
 from .covariance import HurstGrid
 from .experiments import (
     CONFIG_KEYS,
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="limit constants kappa3, kappa5, beta")
     p.add_argument("--H", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("simulate", help="sample one trajectory")
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None, help="upper time (default T)")
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--scheme", choices=[s.value for s in SchemeKind], default="simpson")
-    p.add_argument("--f", default="0,0,0,0,0,1/120", help="polynomial coeffs or cos[:a,w]")
+    p.add_argument("--f", default="0,0,0,0,0,1/120", help=_FLAG_HELP["f"])
     p.set_defaults(handler=_cmd_integrate)
 
     for name, runner, help_text in (
@@ -116,10 +116,9 @@ _FLAG_HELP = {
     "n": "repeatable for sweeps",
     "M": "replications",
     "seed": "master seed",
-    "f": "polynomial coeffs lowest degree first, or cos[:a,w]",
+    "f": "polynomial coeffs lowest degree first, or cos[:a,w[,q]]",
     "threads": "worker pool cap (default: all cores)",
     "slope_tol": "rate-fit slope tolerance",
-    "tol": "constants tolerance",
 }
 
 

@@ -31,6 +31,9 @@ from .hermite import power_to_hermite
 #: Floor on the truncation point so the bound's |p| >= 2 regime always applies.
 _MIN_TRUNCATION = 4
 
+#: Default accuracy of a kappa tail bound, or of beta_r itself.
+DEFAULT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class KappaResult:
@@ -43,7 +46,7 @@ class KappaResult:
     tail_bound: float
 
 
-def kappa(m: int, H: float, tol: float = 1e-10) -> KappaResult:
+def kappa(m: int, H: float, tol: float = DEFAULT_TOL) -> KappaResult:
     """Lattice sum sum_{|p| <= P} rho(p, H)^m with tail below tol.
 
     Requires odd m >= 3 and m(2 - 2H) > 1 for convergence.  At H = 1/2 only
@@ -73,7 +76,7 @@ def kappa(m: int, H: float, tol: float = 1e-10) -> KappaResult:
     return KappaResult(m=m, H=H, value=2.0 * body + 2.0**m, truncation_P=P, tail_bound=tail)
 
 
-def beta(H: float = 0.1, tol: float = 1e-10) -> float:
+def beta(H: float = 0.1, tol: float = DEFAULT_TOL) -> float:
     """The paper's standard-deviation constant beta_5, for Simpson sums."""
     return math.sqrt(beta_squared(*beta_terms(H, tol)))
 
@@ -88,7 +91,7 @@ def beta_squared(*kappas: KappaResult) -> float:
     return beta_sq
 
 
-def beta_terms(H: float, tol: float = 1e-10, r: int = 5) -> tuple[KappaResult, ...]:
+def beta_terms(H: float, tol: float = DEFAULT_TOL, r: int = 5) -> tuple[KappaResult, ...]:
     """The lattice sums kappa_q, q = r, r-2, ..., 3, entering beta_r, each truncated so beta_r is within tol."""
     # kappa_q within tol / (2 w_q) moves beta_r^2 by at most (r-1)/4 tol, hence
     # beta_r = sqrt(beta_r^2) by at most tol when beta_r >= (r-1)/8

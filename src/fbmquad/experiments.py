@@ -111,7 +111,6 @@ CONFIG_KEYS = {
     "generator": ("generator", GeneratorKind, _value),
     "threads": ("threads", int, None),  # reports are byte-identical across thread counts
     "slope_tol": ("slope_tol", float, float),
-    "tol": ("constants_tol", float, float),
 }
 
 
@@ -129,7 +128,6 @@ class ExperimentConfig:
     generator: GeneratorKind = GeneratorKind.CIRCULANT_EMBEDDING
     threads: int | None = None
     slope_tol: float = 0.35
-    constants_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -145,6 +143,10 @@ class ExperimentConfig:
             raise ValueError(f"t must be positive and finite, got {self.t}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if not 0.0 < self.slope_tol < math.inf:
+            raise ValueError(f"slope_tol must be positive and finite, got {self.slope_tol}")
 
     def echo(self) -> dict:
         """Configuration echo for reports, under the config-file keys.
@@ -365,7 +367,7 @@ def _sweep(config: ExperimentConfig, statistic, describe):
     if config.generator is GeneratorKind.CHOLESKY_EXACT:
         check_gram_cap(grids[-1])  # the largest grid, before the first path is drawn
     M = config.replications
-    threads = config.threads if config.threads and config.threads > 0 else os.cpu_count() or 1
+    threads = config.threads or os.cpu_count() or 1
 
     def item(i: int, grid: HurstGrid, lo: int, hi: int) -> dict:
         seeds = replication_seeds(config.master_seed, i * M + lo, i * M + hi)
@@ -438,7 +440,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     if not 0.0 < config.H <= 0.5:
         raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
     r = config.scheme.error_power
-    kappas = beta_terms(config.H, config.constants_tol, r)
+    kappas = beta_terms(config.H, r=r)
     beta_sq = beta_squared(*kappas)
     exponent = (2 * r * config.H - 1.0) / 2.0
     fr = config.f.derivative(r)
@@ -544,21 +546,12 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
     results, columns = _residual_sweep(config)
     target = 1.0 - 2.0 * config.scheme.error_power * config.H
-    if exact:
-        verdicts = {"exact": True, "slope": True}
-        fit_entry = {"exact": True, "slope": None, "stderr": None, "target": target}
-    else:
+    slope = stderr = None
+    if not exact:
         fit = fit_loglog_slope([(e["n"], e["second_moment"]) for e in results])
-        verdicts = {
-            "exact": True,
-            "slope": abs(fit.slope - target) <= config.slope_tol,
-        }
-        fit_entry = {
-            "exact": False,
-            "slope": fit.slope,
-            "stderr": fit.stderr,
-            "target": target,
-        }
+        slope, stderr = fit.slope, fit.stderr
+    verdicts = {"exact": True, "slope": exact or abs(slope - target) <= config.slope_tol}
+    fit_entry = {"exact": exact, "slope": slope, "stderr": stderr, "target": target}
     return _report("rate", config, {"results": results, "fit": fit_entry}, verdicts, [], columns)
 
 
@@ -621,5 +614,5 @@ def _plateau_level(config: ExperimentConfig) -> float:
     c = constant_value(config.f.derivative(r))
     if c is None:
         raise ValueError(f"the critical divergence probe needs constant f^({r})")
-    beta_sq = beta_squared(*beta_terms(config.H, config.constants_tol, r))
+    beta_sq = beta_squared(*beta_terms(config.H, r=r))
     return c * c * beta_sq * config.t / float(1 / config.scheme.error_coefficients[r]) ** 2

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmquad import ExperimentConfig, SchemeKind, run_rate_experiment
+from fbmquad import ExperimentConfig, SchemeKind, experiments, run_rate_experiment
 from fbmquad.cli import _build_parser, _config_from_args, main
+from fbmquad.constants import DEFAULT_TOL
+from fbmquad.experiments import CONFIG_KEYS
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -20,6 +22,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: A valid rate run that draws paths, to which a test appends one bad flag.
+RATE_ARGV = ("rate", "--H", "0.25", "--n", "16", "--n", "32", "--n", "64", "--M", "100")
+
+#: Config key -> flags giving it a bad value; one case per key of ``CONFIG_KEYS``.
+BAD_CONFIG_FLAGS = {
+    "H": ("--H", "nan"),
+    "n": ("--n", "32", "--n", "16"),
+    "M": ("--M", "99"),
+    "t": ("--t", "inf"),
+    "seed": ("--seed", "-1"),
+    "scheme": ("--scheme", "bogus"),
+    "f": ("--f", "x"),
+    "generator": ("--generator", "bogus"),
+    "threads": ("--threads", "0"),
+    "slope_tol": ("--slope-tol", "nan"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +63,7 @@ class TestConstantsCommand:
         assert payload["kappa3"] == 8.0
         assert payload["kappa5"] == 32.0
         assert payload["beta"] == math.sqrt(720.0)
+        assert payload["tol"] == DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +311,25 @@ class TestSelftestAndUsage:
             (("clt", "--H", "0.1", "--n", "16", "--n", "32", "--M", "100", "--t", "inf"), "t"),
             (("simulate", "--H", "0.1", "--n", "8", "--T", "inf"), "T"),
             (("constants", "--H", "0.1", "--tol", "nan"), "tol"),
-            (("clt", "--H", "0.1", "--n", "16", "--n", "32", "--M", "100", "--tol", "nan"), "tol"),
+            (RATE_ARGV + ("--slope-tol", "nan"), "slope_tol"),
             (("clt", "--H", "nan", "--n", "16", "--n", "32", "--M", "100"), "H"),
             (("simulate", "--H", "0.1", "--n", "1"), "n"),
+            (("clt", "--H", "0.1", "--n", "16", "--n", "32", "--M", "100", "--threads", "0"), "threads"),
         ],
     )
     def test_bad_inputs_exit_2_without_traceback(self, capsys, argv, setting):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {setting} must ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", sorted(BAD_CONFIG_FLAGS))
+    def test_every_config_key_rejects_a_bad_value_before_any_path(self, capsys, monkeypatch, key):
+        assert set(BAD_CONFIG_FLAGS) == set(CONFIG_KEYS)  # a new key needs a rejection case
+        calls, real = [], experiments.generate_batch
+        monkeypatch.setattr(experiments, "generate_batch", lambda *a: calls.append(a) or real(*a))
+        code, out, err = run_cli(capsys, *RATE_ARGV, *BAD_CONFIG_FLAGS[key])
+        assert (code, out, calls) == (2, "", [])
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -336,7 +367,6 @@ CONFIG_VALUES = {
     "f": st.sampled_from(["0,0,0,0,0,1/120", "1,-2,3/4", "0,0,0,0,0,0,0,1/5040"]),
     "generator": st.sampled_from(["circulant", "cholesky"]),
     "threads": st.integers(1, 4).map(str),
-    "tol": st.sampled_from(["1e-9", "1e-6"]),
     "scheme": st.sampled_from(["midpoint", "trapezoid", "simpson", "milne"]),
     "slope_tol": st.floats(0.1, 1.0).map(repr),
 }

@@ -82,6 +82,12 @@ class TestConfig:
                 ExperimentConfig(H=H, n_values=(64,), replications=100)
         with pytest.raises(ValueError, match="master_seed"):
             ExperimentConfig(H=0.1, n_values=(64,), replications=100, master_seed=-1)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                ExperimentConfig(H=0.1, n_values=(64,), replications=100, threads=threads)
+        for slope_tol in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="slope_tol must be positive and finite"):
+                ExperimentConfig(H=0.1, n_values=(64,), replications=100, slope_tol=slope_tol)
 
     def test_frozen_and_replace_revalidates(self):
         cfg = ExperimentConfig(H=0.1, n_values=(64,), replications=100)
@@ -157,6 +163,10 @@ class TestConfig:
         assert echoed["f"] == "0,0,0,0,0,1/120"
         assert echoed["n"] == [64]
         assert echoed["M"] == 100
+
+    def test_kappa_tolerance_is_not_a_config_key(self):
+        with pytest.raises(ValueError, match="unknown config key 'tol'"):
+            ExperimentConfig.from_mapping({"H": "0.1", "n": "16,32", "tol": "1e-9"})
 
     @pytest.mark.parametrize(
         "key", ["variance_rel_tol", "ks_alpha", "sigma_gate", "plateau_fraction", "decrease_factor"]
@@ -332,7 +342,7 @@ class TestCltExperiment:
             f=Polynomial([0, 0, 0, Fraction(1, 6)]),
         )
         payload = run_clt_experiment(cfg).payload
-        k3, = beta_terms(H, cfg.constants_tol, 3)
+        k3, = beta_terms(H, r=3)
         assert list(payload["constants"]) == ["kappa3", "beta", "beta_squared"]
         assert payload["constants"]["kappa3"] == k3.value
         assert payload["constants"]["beta_squared"] == beta_squared(k3) == 0.75 * k3.value
@@ -480,7 +490,7 @@ class TestDivergenceProbe:
             H = float(scheme.critical_hurst)
             cfg = ExperimentConfig(H=H, n_values=(16,), t=0.5, scheme=scheme, f=f)
             c = float(f.derivative(r).coeffs[0])
-            beta_sq = beta_squared(*beta_terms(H, cfg.constants_tol, r))
+            beta_sq = beta_squared(*beta_terms(H, r=r))
             expected = c * c * beta_sq * 0.5 * float(a_r) ** 2
             assert experiments._plateau_level(cfg) == pytest.approx(expected, rel=1e-14)
         with pytest.raises(ValueError, match=r"f\^\(3\)"):

@@ -6,14 +6,18 @@ per batch) and still hold after the circulant spectrum moved to batch
 assembly.  ``clt-H0.1`` was re-recorded when the error statistic began to
 form dB^5 by multiplication instead of ``pow``, which moves the statistic in
 its last bits.  All six report digests were re-recorded when a report's
-``config`` block took the config-file keys (``n``, ``M``, ``seed``, ``tol``,
-without ``threads``) and gained a ``thresholds`` block after it; with those
-two blocks removed, every report and CSV kept its bytes.  The digests pin
-every output bit, so any change to how seeds, streams, paths or statistics
-are produced shows up here.  A digest may only change together with a
-CHANGES.md entry that says which outputs moved and why.  They are pinned on
-numpy 2.x.  Two report digests are also checked with one
-row per work item, since rows are independent of how replications are cut.
+``config`` block took the config-file keys (then ``n``, ``M``, ``seed``,
+``tol``, without ``threads``) and gained a ``thresholds`` block after it; with
+those two blocks removed, every report and CSV kept its bytes.  They were
+re-recorded again when the kappa tolerance became the package constant
+``constants.DEFAULT_TOL`` instead of the config key ``tol``, which drops the
+``"tol"`` line of the ``config`` block; with that line removed, every report
+and CSV kept its bytes.  The digests pin every output bit, so any change to
+how seeds, streams, paths or statistics are produced shows up here.  A digest
+may only change together with a CHANGES.md entry that says which outputs moved
+and why.  They are pinned on numpy 2.x.  Two report digests are also checked
+with one row per work item, since rows are independent of how replications
+are cut.
 """
 
 import hashlib
@@ -47,12 +51,12 @@ REPORTS = {
     "clt-H0.1": (
         run_clt_experiment,
         dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
-        "90df1ff3c375fdf70c85ea298810c86e1560a895d58e45761ab1d7ccd1c6e98a",
+        "9b4efb367a4358e72a2a6d0fdda3f97ef4c69c491970363950256e23647ac053",
     ),
     "rate-simpson-H0.2": (
         run_rate_experiment,
         dict(H=0.2, n_values=(32, 64, 128, 256), f=QUINTIC),
-        "bcfbe44e1b715ffb1d71341450ea3085a45adcc4069272f0acbc26339486d0e7",
+        "1608ed88be66bf9b1a89e8b0b76a1286dc8778671c9fcd7361e3f9fd9c4b898c",
     ),
     "rate-milne-H0.15": (
         run_rate_experiment,
@@ -62,22 +66,22 @@ REPORTS = {
             scheme=SchemeKind.MILNE,
             f=Polynomial([0] * 7 + [Fraction(1, 5040)]),
         ),
-        "3770d596a57e27efb848c47d2802e1e9298a26a4f015fe30cb67dd41f111995d",
+        "4c3bebc3a21c6b7e804bf075a4eb026cd3152d99dc4c99d9072026b5a4aeadd8",
     ),
     "diverge-H0.05": (
         run_divergence_probe,
         dict(H=0.05, n_values=(64, 128, 256), f=QUINTIC),
-        "9dcfcabf542784588db451465d1d22669d4b5cf3e114a0c97db6c7567b0a6199",
+        "1d60013bbc8410f002b2c6b79e4f161e1bfce5c31ba762a26c9df00e3f3d950b",
     ),
     "diverge-H0.1": (
         run_divergence_probe,
         dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
-        "bc262cf2e67c1076c8413b2d881ce7f41f957a56e72ae80b1502e77002d7b8d2",
+        "5a4fbd3846a115a44b6f666b58a2757ab73dae9b0881db99b0121ac0cc1aa887",
     ),
     "diverge-H0.2": (
         run_divergence_probe,
         dict(H=0.2, n_values=(64, 128, 256), f=QUINTIC),
-        "9a6e6c2918d737abcc1aef3a14e8087443775020421f203f24145316aabcbfa0",
+        "b37fadf496be95b1afa13014c43221e562166d94633568f84f29a181ce3b4dcb",
     ),
 }
 
