@@ -56,8 +56,8 @@ def kappa(m: int, H: float, tol: float = DEFAULT_TOL) -> KappaResult:
         raise ValueError(f"m must be an odd integer >= 3, got {m}")
     if not 0.0 < H < 1.0:
         raise ValueError(f"H must lie in (0, 1), got {H}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     decay = m * (2.0 - 2.0 * H)  # |rho(p)^m| ~ p^{-decay}
     if decay <= 1.0:
         raise ValueError(f"series diverges: need m(2 - 2H) > 1, got {decay}")

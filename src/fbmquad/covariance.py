@@ -85,22 +85,16 @@ def cov(grid: HurstGrid, s: float, t: float) -> float:
     return 0.5 * (s**H2 + t**H2 - gap)
 
 
-def check_gram_cap(grid: HurstGrid) -> None:
-    """Raise ValueError if the grid has more than ``GRAM_CAP_DEFAULT`` increments."""
-    m = grid.num_increments
-    if m > GRAM_CAP_DEFAULT:
-        raise ValueError(f"grid has {m} increments, above the Gram cap {GRAM_CAP_DEFAULT}")
-
-
 def increment_gram(grid: HurstGrid) -> np.ndarray:
     """Dense Gram matrix [Cov(increment j, increment k)], up to ``GRAM_CAP_DEFAULT`` increments.
 
-    The matrix is Toeplitz by stationarity; above the cap callers should work
-    with lag-indexed values from :func:`rho` instead.  Each call builds a new
-    array.
+    The matrix is Toeplitz by stationarity; above the cap it raises ValueError,
+    and callers should work with lag-indexed values from :func:`rho` instead.
+    Each call builds a new array.
     """
-    check_gram_cap(grid)
     m = grid.num_increments
+    if m > GRAM_CAP_DEFAULT:
+        raise ValueError(f"grid has {m} increments, above the Gram cap {GRAM_CAP_DEFAULT}")
     row = fgn_autocov(grid, m - 1)
     idx = np.arange(m)
     return row[np.abs(idx[:, None] - idx[None, :])]

@@ -20,21 +20,24 @@ n_index * M + r), so results are bit-identical for any worker pool size.
 Replications are cut into work items of up to 64 rows, fewer at large m so
 that an item holds at most ``_CHUNK_INCREMENTS`` increments (but always one
 row); each is reduced to the experiment's per-replication statistic by the
-row-wise kernels of ``schemes`` and reassembled in replication order.  One
-thread pool per run works through the items, grid after grid; with threads
-<= 1 they run in the calling thread.  Rows are independent, so neither the
-item size nor the thread count changes the output.  The sweep fills
-the summary fields every results entry shares and the per-replication columns
-(replication, seed, n, B_t, statistic); each experiment adds only its own
-fields and verdicts, and one builder assembles the report.
+row-wise kernels of ``schemes`` and reassembled in replication order.  Paths
+are sampled by circulant embedding, nonnegative definite for fGn at every H.
+One thread pool per run, of at most one worker per core, works through the
+items, grid after grid; with one worker they run in the calling thread.  Rows
+are independent, so neither the item size nor the thread count changes the
+output.  The sweep fills the summary fields every results entry shares and the
+per-replication columns (replication, seed, n, B_t, statistic); each
+experiment adds only its own fields and verdicts, and one builder assembles
+the report.
 
 A run is described by one frozen ``ExperimentConfig``, which converts and
-validates its settings; the checks that need a grid (floor(nt) >= 2, the
-Cholesky Gram cap) run when ``_sweep`` builds the grids, still before the
-first path is drawn.  Config files and CLI flags share one key vocabulary and
-both reach it through ``ExperimentConfig.from_mapping``; a report echoes its
-config under the same keys.  The verdict thresholds are fixed
-(``THRESHOLDS``), so no config can loosen a verdict.
+validates its settings; the one check that needs a grid, floor(nt) >= 2, runs
+when ``_sweep`` builds the grids, and an f^(r) that is identically zero, which
+leaves the clt and the divergence probe nothing to test, is refused, both
+before the first path is drawn.  Config files and CLI flags share one key
+vocabulary and both reach it through ``ExperimentConfig.from_mapping``; a
+report echoes its config under the same keys.  The verdict thresholds are
+fixed (``THRESHOLDS``), so no config can loosen a verdict.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from .constants import beta_squared, beta_terms
-from .covariance import HurstGrid, check_gram_cap, cov, floor_index, rho
+from .covariance import HurstGrid, cov, floor_index, rho
 from .hermite import SUPPORTED_POWERS, hermite_eval, power_to_hermite
 from .pathgen import FbmPath, GeneratorKind, generate_batch, replication_seeds
 from .schemes import (
@@ -108,7 +111,6 @@ CONFIG_KEYS = {
     "seed": ("master_seed", int, int),
     "scheme": ("scheme", SchemeKind, _value),
     "f": ("f", parse_test_function, operator.methodcaller("spec")),
-    "generator": ("generator", GeneratorKind, _value),
     "threads": ("threads", int, None),  # reports are byte-identical across thread counts
     "slope_tol": ("slope_tol", float, float),
 }
@@ -125,7 +127,6 @@ class ExperimentConfig:
     master_seed: int = DEFAULT_MASTER_SEED
     scheme: SchemeKind = SchemeKind.SIMPSON
     f: TestFunction = field(default_factory=lambda: _DEFAULT_F)
-    generator: GeneratorKind = GeneratorKind.CIRCULANT_EMBEDDING
     threads: int | None = None
     slope_tol: float = 0.35
 
@@ -355,23 +356,23 @@ def _sweep(config: ExperimentConfig, statistic, describe):
     paths to a dict of per-replication arrays, among them ``"statistic"``, the
     value summarized and written to the CSV.  An item holds max(1, min(_CHUNK,
     _CHUNK_INCREMENTS // m)) rows for m = floor(nT) increments and adds the
-    terminal levels ``b_end`` and the stream ``seed`` of its rows.  One pool
-    runs the items of every grid, unless threads <= 1, when they run in this
-    thread.  Rows are independent and the items are reassembled in replication
-    order, so neither the item size nor the thread count changes the output.
+    terminal levels ``b_end`` and the stream ``seed`` of its rows.  One pool of
+    min(threads, cores) workers runs the items of every grid, or this thread
+    if that is 1.  Rows are independent and the items are reassembled in
+    replication order, so neither the item size nor the thread count changes
+    the output.
     describe(grid, data, summary) returns the fields that follow the shared n,
     count, mean, variance and variance_se of the grid's results entry; data
     holds the concatenated arrays.
     """
     grids = [HurstGrid(config.H, n, T=config.t) for n in config.n_values]
-    if config.generator is GeneratorKind.CHOLESKY_EXACT:
-        check_gram_cap(grids[-1])  # the largest grid, before the first path is drawn
     M = config.replications
-    threads = config.threads or os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    threads = min(config.threads or cores, cores)
 
     def item(i: int, grid: HurstGrid, lo: int, hi: int) -> dict:
         seeds = replication_seeds(config.master_seed, i * M + lo, i * M + hi)
-        values = generate_batch(grid, config.generator, seeds)
+        values = generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, seeds)
         out = statistic(grid, values)
         out["b_end"] = values[:, -1].copy()
         out["seed"] = seeds
@@ -435,15 +436,14 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     critical H = 1/(2r)).  With constant f^(r) = c the limit is an
     unconditional N(0, c^2 beta_r^2 t); otherwise only the variance is
     compared, against beta_r^2 times the Monte Carlo mean of
-    integral f^(r)(B_s)^2 ds.
+    integral f^(r)(B_s)^2 ds.  A zero f^(r) is refused before the first path.
     """
     if not 0.0 < config.H <= 0.5:
         raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
-    r = config.scheme.error_power
+    r, fr = _leading_term(config)
     kappas = beta_terms(config.H, r=r)
     beta_sq = beta_squared(*kappas)
     exponent = (2 * r * config.H - 1.0) / 2.0
-    fr = config.f.derivative(r)
     c = constant_value(fr)
     constant_fr = c is not None
 
@@ -471,14 +471,6 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
                 grid, config.f, config.t
             ),
         }
-        if summary.variance == 0.0:  # a zero f^(r) lands here
-            return entry | {
-                "degenerate": True,
-                "ks_p_value": None,
-                "corr_with_level": None,
-                "variance_ratio_error": 0.0,
-            }
-        entry["degenerate"] = False
         if constant_fr:
             ks = ks_test_normal(stat, sigma2)
             entry["ks_statistic"], entry["ks_p_value"] = ks.statistic, ks.p_value
@@ -490,31 +482,20 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     results, columns = _sweep(config, statistic, describe)
     last = results[-1]
-    if last["degenerate"]:
-        verdicts = {
-            "variance_final": True,
-            "variance_trend": True,
-            "ks_final": True,
-            "corr_final": True,
-            "mean_final": True,
-        }
-    else:
-        ratio_errors = [entry["variance_ratio_error"] for entry in results]
-        M = config.replications
-        sigma_gate = THRESHOLDS["sigma_gate"]
-        var_tol = max(
-            THRESHOLDS["variance_rel_tol"], 3.0 * last["variance_se"] / last["target_variance"]
-        )
-        verdicts = {
-            "variance_final": ratio_errors[-1] <= var_tol,
-            "variance_trend": all(
-                b <= a + 1e-15 for a, b in zip(ratio_errors, ratio_errors[1:])
-            ),
-            "ks_final": (last["ks_p_value"] is None)
-            or (last["ks_p_value"] > THRESHOLDS["ks_alpha"]),
-            "corr_final": abs(last["corr_with_level"]) < sigma_gate / math.sqrt(M),
-            "mean_final": abs(last["mean"]) < sigma_gate * math.sqrt(last["variance"] / M),
-        }
+    ratio_errors = [entry["variance_ratio_error"] for entry in results]
+    M = config.replications
+    sigma_gate = THRESHOLDS["sigma_gate"]
+    var_tol = max(
+        THRESHOLDS["variance_rel_tol"], 3.0 * last["variance_se"] / last["target_variance"]
+    )
+    verdicts = {
+        "variance_final": ratio_errors[-1] <= var_tol,
+        "variance_trend": all(b <= a + 1e-15 for a, b in zip(ratio_errors, ratio_errors[1:])),
+        "ks_final": (last["ks_p_value"] is None)
+        or (last["ks_p_value"] > THRESHOLDS["ks_alpha"]),
+        "corr_final": abs(last["corr_with_level"]) < sigma_gate / math.sqrt(M),
+        "mean_final": abs(last["mean"]) < sigma_gate * math.sqrt(last["variance"] / M),
+    }
     body = {
         "constants": {
             **{f"kappa{k.m}": k.value for k in reversed(kappas)},
@@ -539,7 +520,7 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"rate experiment needs H above the {config.scheme.value} threshold "
             f"{threshold:.6g}; the probe below handles H <= threshold"
         )
-    exact = config.f.degree is not None and config.f.degree <= config.scheme.exact_degree
+    exact = _leading_term_vanishes(config)
     if not exact and len(config.n_values) < 3:
         raise ValueError(
             f"rate experiment fits a slope and needs at least 3 grids, got {len(config.n_values)}"
@@ -556,10 +537,11 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
-    """Behavior of the raw residual variance at and below the critical exponent."""
+    """Raw residual variance at and below the critical exponent; refuses a zero f^(r)."""
     threshold = float(config.scheme.critical_hurst)
     critical = abs(config.H - threshold) <= 1e-12
-    plateau = _plateau_level(config) if critical else None  # raises before any path is drawn
+    _leading_term(config)  # raises before any path is drawn, as does _plateau_level
+    plateau = _plateau_level(config) if critical else None
     results, columns = _residual_sweep(config)
     variances = [r["variance"] for r in results]
     ses = [r["variance_se"] for r in results]
@@ -610,9 +592,25 @@ def _plateau_level(config: ExperimentConfig) -> float:
 
     r is the scheme's error power and a_r its leading error coefficient.
     """
-    r = config.scheme.error_power
-    c = constant_value(config.f.derivative(r))
+    r, fr = _leading_term(config)
+    c = constant_value(fr)
     if c is None:
         raise ValueError(f"the critical divergence probe needs constant f^({r})")
     beta_sq = beta_squared(*beta_terms(config.H, r=r))
     return c * c * beta_sq * config.t / float(1 / config.scheme.error_coefficients[r]) ** 2
+
+
+def _leading_term_vanishes(config: ExperimentConfig) -> bool:
+    """Whether f^(r) is identically zero, r the error power: the scheme is then exact for f."""
+    return constant_value(config.f.derivative(config.scheme.error_power)) == 0.0
+
+
+def _leading_term(config: ExperimentConfig) -> tuple[int, TestFunction]:
+    """r and f^(r); ValueError if f^(r) is zero, since then the error term and its limit vanish."""
+    r = config.scheme.error_power
+    if _leading_term_vanishes(config):
+        raise ValueError(
+            f"f^({r}) is identically zero for the {config.scheme.value} scheme "
+            f"(f = {config.f.spec()}), so its error term vanishes and there is nothing to test"
+        )
+    return r, config.f.derivative(r)

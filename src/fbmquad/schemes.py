@@ -290,10 +290,15 @@ def parse_test_function(text: str) -> TestFunction:
 
 
 def constant_value(g) -> float | None:
-    """The value of g if it is a constant ``Polynomial``, else None."""
-    if not (isinstance(g, Polynomial) and g.degree == 0):
-        return None
-    return float(g.coeffs[0]) if g.coeffs else 0.0
+    """The value of g if it is a constant ``Polynomial`` or ``ScaledCosine``, else None.
+
+    A ``ScaledCosine`` is constant when its amplitude or frequency is 0.
+    """
+    if isinstance(g, Polynomial) and g.degree == 0:
+        return float(g.coeffs[0]) if g.coeffs else 0.0
+    if isinstance(g, ScaledCosine) and 0.0 in (g.amplitude, g.frequency):
+        return float(g(0.0))
+    return None
 
 
 # ---------------------------------------------------------------------------

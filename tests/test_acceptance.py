@@ -161,7 +161,6 @@ def test_criterion_4_critical_case_clt():
         t=1.0,
         master_seed=DEFAULT_MASTER_SEED,
         f=QUINTIC,
-        generator=CIRC,
     )
     report = fq.run_clt_experiment(config)
     v = report.payload["verdicts"]

@@ -36,7 +36,6 @@ BAD_CONFIG_FLAGS = {
     "seed": ("--seed", "-1"),
     "scheme": ("--scheme", "bogus"),
     "f": ("--f", "x"),
-    "generator": ("--generator", "bogus"),
     "threads": ("--threads", "0"),
     "slope_tol": ("--slope-tol", "nan"),
 }
@@ -297,13 +296,20 @@ class TestSelftestAndUsage:
         "argv",
         [
             ("clt", "--H", "0.1", "--n", "16", "--M", "100", "--scheme", "bogus"),
-            ("diverge", "--H", "0.1", "--n", "16", "--M", "100", "--generator", "bogus"),
+            ("diverge", "--H", "0.1", "--n", "16", "--M", "100", "--scheme", "bogus"),
         ],
     )
     def test_enum_flags_reject_unknown_values(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize("command", ["clt", "rate", "diverge"])
+    def test_experiments_take_no_generator_flag(self, capsys, command):
+        argv = (command, "--H", "0.1", "--n", "16", "--M", "100", "--generator", "circulant")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --generator circulant" in err
 
     @pytest.mark.parametrize(
         "argv, setting",
@@ -315,6 +321,7 @@ class TestSelftestAndUsage:
             (("clt", "--H", "nan", "--n", "16", "--n", "32", "--M", "100"), "H"),
             (("simulate", "--H", "0.1", "--n", "1"), "n"),
             (("clt", "--H", "0.1", "--n", "16", "--n", "32", "--M", "100", "--threads", "0"), "threads"),
+            (("constants", "--H", "0.1", "--tol", "inf"), "tol"),
         ],
     )
     def test_bad_inputs_exit_2_without_traceback(self, capsys, argv, setting):
@@ -365,7 +372,6 @@ CONFIG_VALUES = {
     "M": st.integers(100, 500).map(str),
     "seed": st.integers(0, 2**64).map(str),
     "f": st.sampled_from(["0,0,0,0,0,1/120", "1,-2,3/4", "0,0,0,0,0,0,0,1/5040"]),
-    "generator": st.sampled_from(["circulant", "cholesky"]),
     "threads": st.integers(1, 4).map(str),
     "scheme": st.sampled_from(["midpoint", "trapezoid", "simpson", "milne"]),
     "slope_tol": st.floats(0.1, 1.0).map(repr),

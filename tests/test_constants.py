@@ -82,8 +82,10 @@ class TestKappa:
             kappa(1, 0.1)
         with pytest.raises(ValueError):
             kappa(3, 0.1, tol=0.0)
-        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
             kappa(3, 0.1, tol=math.nan)
+        with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+            kappa(3, 0.1, tol=math.inf)
         with pytest.raises(ValueError):
             kappa(3, 0.9, 1e-8)  # m(2-2H) = 0.6 <= 1 diverges
 

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmquad import (
-    GRAM_CAP_DEFAULT,
     ExperimentConfig,
     experiments,
     GeneratorKind,
@@ -30,7 +29,7 @@ from fbmquad import (
 )
 from fbmquad.experiments import read_config
 from fbmquad.pathgen import generate_batch, replication_seeds
-from test_cli import CONFIG_VALUES
+from test_cli import CONFIG_VALUES, run_cli
 
 QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
 
@@ -122,7 +121,6 @@ class TestConfig:
             seed = 99
             scheme = simpson
             f = 0,0,0,0,0,1/120
-            generator = circulant
             threads = 2
         """
         cfg_file = tmp_path / "run.cfg"
@@ -134,7 +132,6 @@ class TestConfig:
         assert cfg.master_seed == 99
         assert cfg.scheme is SchemeKind.SIMPSON
         assert cfg.f == QUINTIC
-        assert cfg.generator is GeneratorKind.CIRCULANT_EMBEDDING
         assert cfg.threads == 2
 
     def test_from_file_errors(self, tmp_path):
@@ -167,6 +164,16 @@ class TestConfig:
     def test_kappa_tolerance_is_not_a_config_key(self):
         with pytest.raises(ValueError, match="unknown config key 'tol'"):
             ExperimentConfig.from_mapping({"H": "0.1", "n": "16,32", "tol": "1e-9"})
+
+    def test_generator_is_not_a_config_key(self):
+        # experiments always sample by circulant embedding
+        with pytest.raises(ValueError, match="unknown config key 'generator'"):
+            ExperimentConfig.from_mapping({"H": "0.1", "n": "16,32", "generator": "circulant"})
+
+    def test_one_field_per_config_key(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {name for name, _, _ in experiments.CONFIG_KEYS.values()} == fields
+        assert len(experiments.CONFIG_KEYS) == len(fields)
 
     @pytest.mark.parametrize(
         "key", ["variance_rel_tol", "ks_alpha", "sigma_gate", "plateau_fraction", "decrease_factor"]
@@ -217,6 +224,20 @@ class TestDeterminism:
     def test_canonical_json_round_trips_any_payload(self, payload):
         text = canonical_json(payload)
         assert canonical_json(json.loads(text)) == text
+
+    def test_worker_pool_capped_at_core_count(self, monkeypatch):
+        workers, real = [], experiments.ThreadPoolExecutor
+
+        def recording(*, max_workers):
+            workers.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        for threads in (64, None, 1):
+            cfg = ExperimentConfig(H=0.2, n_values=(16,), replications=200, threads=threads)
+            run_divergence_probe(cfg)
+        assert workers == [2, 2, 1]
 
     def test_replication_streams_do_not_collide(self):
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=150, master_seed=11)
@@ -348,15 +369,19 @@ class TestCltExperiment:
         assert payload["constants"]["beta_squared"] == beta_squared(k3) == 0.75 * k3.value
         assert payload["statistic_scale_exponent"] == (6 * H - 1) / 2
 
-    def test_degenerate_low_degree_function(self):
-        cfg = ExperimentConfig(
-            H=0.1, n_values=(16,), replications=100, f=Polynomial([0, 1, 0, 2, 1])
-        )
-        report = run_clt_experiment(cfg)
-        entry = report.payload["results"][0]
-        assert entry["degenerate"] is True
-        assert entry["variance"] == 0.0
-        assert report.overall_pass
+    @pytest.mark.parametrize("f", ["0,1,0,2,1", "cos:0,1", "cos:1,0"])
+    @pytest.mark.parametrize(
+        "command, H", [("clt", "0.1"), ("diverge", "0.05"), ("diverge", "0.1"), ("diverge", "0.2")]
+    )
+    def test_zero_leading_term_is_refused_before_any_path(
+        self, capsys, batch_calls, command, H, f
+    ):
+        # f^(5) = 0 makes the error statistic and its limit vanish: nothing to test
+        argv = (command, "--H", H, "--n", "16", "--n", "32", "--M", "100", "--f", f)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, batch_calls) == (2, "", [])
+        assert "error: f^(5) is identically zero for the simpson scheme (f = " in err
+        assert "Traceback" not in err
 
     def test_brownian_sanity_run(self):
         # supercritical control: scaled statistic has mean ~ 0 and variance
@@ -464,18 +489,6 @@ class TestDivergenceProbe:
         f = Polynomial([0] * 6 + [1])
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, f=f)
         with pytest.raises(ValueError, match=r"needs constant f\^\(5\)"):
-            run_divergence_probe(cfg)
-        assert batch_calls == []
-
-    def test_gram_cap_fails_before_any_path(self, batch_calls):
-        # the first grid is within the Gram cap, the last is not
-        cfg = ExperimentConfig(
-            H=0.05,
-            n_values=(16, 2 * GRAM_CAP_DEFAULT),
-            replications=100,
-            generator=GeneratorKind.CHOLESKY_EXACT,
-        )
-        with pytest.raises(ValueError, match="above the Gram cap"):
             run_divergence_probe(cfg)
         assert batch_calls == []
 

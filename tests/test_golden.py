@@ -12,7 +12,12 @@ those two blocks removed, every report and CSV kept its bytes.  They were
 re-recorded again when the kappa tolerance became the package constant
 ``constants.DEFAULT_TOL`` instead of the config key ``tol``, which drops the
 ``"tol"`` line of the ``config`` block; with that line removed, every report
-and CSV kept its bytes.  The digests pin every output bit, so any change to
+and CSV kept its bytes.  They were re-recorded once more when experiments
+began to sample by circulant embedding only, which drops the ``"generator"``
+line of the ``config`` block, and when the clt began to refuse an f with
+f^(5) = 0 instead of passing it, which drops the ``"degenerate"`` field of
+every clt results entry; with those removed, every report and CSV kept its
+bytes.  The digests pin every output bit, so any change to
 how seeds, streams, paths or statistics are produced shows up here.  A digest
 may only change together with a CHANGES.md entry that says which outputs moved
 and why.  They are pinned on numpy 2.x.  Two report digests are also checked
@@ -51,12 +56,12 @@ REPORTS = {
     "clt-H0.1": (
         run_clt_experiment,
         dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
-        "9b4efb367a4358e72a2a6d0fdda3f97ef4c69c491970363950256e23647ac053",
+        "e5bfc13d5ef121b57f35a78e9a8aa731eeba2ea0970bc7e8d09e260688cf8675",
     ),
     "rate-simpson-H0.2": (
         run_rate_experiment,
         dict(H=0.2, n_values=(32, 64, 128, 256), f=QUINTIC),
-        "1608ed88be66bf9b1a89e8b0b76a1286dc8778671c9fcd7361e3f9fd9c4b898c",
+        "87d52581054249311f82bc9d6801af7e1e763e2f9c93ac5f7caee025dcabc49b",
     ),
     "rate-milne-H0.15": (
         run_rate_experiment,
@@ -66,22 +71,22 @@ REPORTS = {
             scheme=SchemeKind.MILNE,
             f=Polynomial([0] * 7 + [Fraction(1, 5040)]),
         ),
-        "4c3bebc3a21c6b7e804bf075a4eb026cd3152d99dc4c99d9072026b5a4aeadd8",
+        "f04341c9e4f3d8b26fb738b434b891d4946344dfdc5c714d8d3d1afebc46b8ce",
     ),
     "diverge-H0.05": (
         run_divergence_probe,
         dict(H=0.05, n_values=(64, 128, 256), f=QUINTIC),
-        "1d60013bbc8410f002b2c6b79e4f161e1bfce5c31ba762a26c9df00e3f3d950b",
+        "f3a849675fbbea4b42ffb4e56ad8b44561f0c26eeaba4d4dde759110fc0e9c0e",
     ),
     "diverge-H0.1": (
         run_divergence_probe,
         dict(H=0.1, n_values=(64, 128, 256), f=QUINTIC),
-        "5a4fbd3846a115a44b6f666b58a2757ab73dae9b0881db99b0121ac0cc1aa887",
+        "5aa5e759f47ba36536721ed3d4675e06cc3a7b48eb52cb7c769ae1afa1b71faa",
     ),
     "diverge-H0.2": (
         run_divergence_probe,
         dict(H=0.2, n_values=(64, 128, 256), f=QUINTIC),
-        "b37fadf496be95b1afa13014c43221e562166d94633568f84f29a181ce3b4dcb",
+        "dbd6cebb5fbae0f73252790d3af817db616ff5ae64d2ac3e6a09699a4ca5152f",
     ),
 }
 

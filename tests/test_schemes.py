@@ -174,6 +174,9 @@ class TestTestFunctions:
         assert constant_value(Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)]).derivative(5)) == 1.0
         assert constant_value(Polynomial([1, 1])) is None
         assert constant_value(ScaledCosine()) is None
+        assert constant_value(ScaledCosine(0, 1)) == 0.0
+        assert constant_value(ScaledCosine(1, 0)) == 1.0
+        assert constant_value(ScaledCosine(1, 0, 2)) == -1.0
         assert constant_value(lambda x: 1.0) is None
 
     def test_polynomial_is_an_immutable_value(self):
