@@ -18,9 +18,13 @@ All three run one sweep over the grids.  Replication r of the sweep's
 n_index-th grid draws from the Philox stream keyed by (master_seed,
 n_index * M + r), so results are bit-identical for any worker pool size.
 Replications are cut into work items of up to 64 rows, fewer at large m so
-that an item holds at most ``_CHUNK_INCREMENTS`` increments (but always one
-row); each is reduced to the experiment's per-replication statistic by the
-row-wise kernels of ``schemes`` and reassembled in replication order.  Paths
+that an item holds at most ``_CHUNK_INCREMENTS`` = 2^17 increments (but
+always one row); each is reduced to the experiment's per-replication
+statistic by the row-wise kernels of ``schemes`` and reassembled in
+replication order.  The two sizes differ on purpose: an item is large so that
+the FFT keeps batching its rows (halving it slowed the clt by a quarter), and
+the kernels run it in row blocks of 2^15 elements so that their buffers stay
+in L2 cache.  Paths
 are sampled by circulant embedding, nonnegative definite for fGn at every H.
 One thread pool per run, of at most one worker per core, works through the
 items, grid after grid; with one worker they run in the calling thread.  Rows

@@ -31,8 +31,13 @@ which the sums stop converging in probability (1/6, 1/6, 1/10, 1/14).
 Each formula is written once, as a row-wise kernel over an (N, m+1) array of
 path levels: ``riemann_sums`` for the composite rules and
 ``midpoint_power_sums`` for sum_j g(mid_j) dB_j^r, which serves the error
-statistic and the error terms.  The single-path functions run these kernels
-on the path cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
+statistic and the error terms.  Both run the rows in blocks of whole rows of
+at most ``_BLOCK`` = 2^15 elements, so that their few block-sized buffers
+(256 KiB each) stay in L2 cache between passes; each row is reduced on its
+own, so the block size moves no output bit.  The experiments hand them work
+items of up to 2^17 increments, a size set by the FFT's row batching, not by
+the kernels.  The single-path functions run these kernels on the path cut to
+floor(nt)/n by ``cut_levels``, as a batch of one row.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class SchemeKind(Enum):
         member._value_ = value
         member._offsets = offsets = tuple(F(c) for c in offsets)
         member._weights = weights = tuple(F(w) for w in weights)
+        # (offset, weight) as floats, the node table of riemann_sums
+        member._nodes = tuple((float(c), float(w)) for c, w in zip(offsets, weights))
 
         def coefficient(r: int) -> Fraction:
             moment = sum(w * (c - F(1, 2)) ** (r - 1) for c, w in zip(offsets, weights))
@@ -134,6 +141,9 @@ class TestFunction:
 
         An array x may be evaluated into ``out``, a float64 array of its shape
         that shares no memory with x (else ValueError); the call returns ``out``.
+        For finite x the result is bit-equal to the per-step form, which
+        allocates at every step: Horner as ``acc = acc * x + c`` from acc = 0,
+        and the cosine as amplitude times its branch.
         """
         raise NotImplementedError
 
@@ -153,7 +163,8 @@ class Polynomial(TestFunction):
     Immutable and hashed on ``coeffs``.  Each derivative's exact coefficients
     are computed once per instance, on first request, and the same
     ``Polynomial`` is returned on every later call.  Evaluation runs Horner's
-    rule in place in one accumulator.
+    rule in place in one accumulator, starting from c_n x, so an infinite x
+    gives +-inf (or nan from inf - inf) where the zero start gave 0 * inf = nan.
     """
 
     __slots__ = ("_coeffs", "_horner_coeffs", "_derivatives")
@@ -189,15 +200,24 @@ class Polynomial(TestFunction):
         return p
 
     def __call__(self, x, out=None):
+        # acc = acc * x + c from acc = 0 with the passes that cannot change a
+        # finite result cut: the first step is c_n exactly, and an interior
+        # zero c only sets the sign of a zero, which the final + c_0 clears
         x = np.asarray(x, dtype=np.float64)
         if out is None:
-            out = np.zeros_like(x)
+            out = np.empty_like(x)
         else:
             _check_unaliased(out, x)
-            out.fill(0.0)
-        for c in self._horner_coeffs:
-            out *= x
-            out += c
+        coeffs = self._horner_coeffs
+        if len(coeffs) < 2:
+            out.fill(coeffs[0] if coeffs else 0.0)
+        else:
+            np.multiply(x, coeffs[0], out=out)
+            for c in coeffs[1:-1]:
+                if c:
+                    out += c
+                out *= x
+            out += coeffs[-1]
         return float(out) if x.ndim == 0 else out
 
     def spec(self) -> str:
@@ -306,28 +326,60 @@ def constant_value(g) -> float | None:
 # ---------------------------------------------------------------------------
 
 
+#: Elements of one kernel block: 2^15 float64 (256 KiB) per buffer keeps a
+#: kernel's buffers in L2 between its passes.  On a 2-core Xeon with 2 MiB L2
+#: per core, Simpson on 64 x 2048 took 1.22 / 1.07 / 1.54 ms at 2^13 / 2^15 /
+#: 2^17.  A block holds whole rows, so each row is reduced in the same
+#: pairwise order as in one pass over all rows.
+_BLOCK = 2**15
+
+
+def _row_blocks(values: np.ndarray):
+    """Buffer shape (rows per block, m) of an (N, m+1) level array, and the row slices of its blocks."""
+    n_rows, m = values.shape[0], values.shape[1] - 1
+    rows = max(1, min(n_rows, _BLOCK // max(m, 1)))
+    return (rows, m), [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
+
+
 def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.ndarray:
     """Row-wise sum_j [sum_w weight_w f'(node_w)] dB_j over an (N, m+1) array of path levels.
 
-    Every node is formed in one node buffer and f' evaluated into one value
-    buffer, so the kernel holds four (N, m) arrays whatever the scheme; the
-    floating-point operations and their order are those of
-    ``acc += weight * f'(left + offset * dB)``.
+    The rows run in blocks of at most ``_BLOCK`` elements through four
+    block-sized arrays (increments, accumulator, node, value), allocated once
+    per call, whatever the scheme and N.  Per element the bits equal
+    ``acc += weight * f'(left + offset * dB)`` from acc = 0, with the passes
+    that cannot change them cut: an offset-0 node is the left level, an
+    offset-1 node is left + dB, and the first node is evaluated into the
+    accumulator, whose + 0.0 replaces the add to a zero fill.
     """
-    left = values[:, :-1]
-    db = np.diff(values, axis=1)
+    shape, blocks = _row_blocks(values)
     fprime = f.derivative(1)
-    acc = np.zeros_like(db)
-    node = np.empty_like(db)
-    value = np.empty_like(db)
-    for offset, weight in zip(kind.offsets, kind.weights):
-        np.multiply(db, float(offset), out=node)
-        node += left
-        fprime(node, out=value)
-        value *= float(weight)
-        acc += value
-    acc *= db
-    return np.sum(acc, axis=1)
+    db, acc, node, value = (np.empty(shape) for _ in range(4))
+    sums = np.empty(len(values))
+    for block in blocks:
+        levels = values[block]
+        k = len(levels)
+        left = levels[:, :-1]
+        d = np.subtract(levels[:, 1:], left, out=db[:k])
+        a, x, v = acc[:k], node[:k], value[:k]
+        for i, (offset, weight) in enumerate(kind._nodes):
+            if offset == 0.0:
+                at = left
+            elif offset == 1.0:
+                at = np.add(left, d, out=x)
+            else:
+                at = np.multiply(d, offset, out=x)
+                at += left
+            target = a if i == 0 else v
+            fprime(at, out=target)
+            target *= weight
+            if i == 0:
+                a += 0.0
+            else:
+                a += v
+        a *= d
+        sums[block] = np.add.reduce(a, axis=1)
+    return sums
 
 
 def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
@@ -335,22 +387,37 @@ def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
 
     With g = f^(r) it gives the error statistic and the error terms of
     ``error_decomposition``; r = 0 gives n times the midpoint rule for integral g(B_s) ds.
+    The rows run in blocks of at most ``_BLOCK`` elements, like ``riemann_sums``.
     dB^r is formed by in-place square-and-multiply, because ``db**r`` goes
     through libm ``pow`` at many times the cost.  A constant g skips the
     midpoints and is not evaluated.
     """
-    db = np.diff(values, axis=1)
-    terms = np.ones_like(db) if r == 0 else db.copy()
-    for bit in bin(r)[3:]:
-        terms *= terms
-        if bit == "1":
-            terms *= db
+    shape, blocks = _row_blocks(values)
     c = constant_value(g)
-    if c is None:
-        terms *= g(0.5 * (values[:, :-1] + values[:, 1:]))
-    elif c != 1.0:
-        terms *= c
-    return np.sum(terms, axis=1)
+    db, terms = np.empty(shape), np.empty(shape)
+    mid = np.empty(shape) if c is None else None
+    sums = np.empty(len(values))
+    for block in blocks:
+        levels = values[block]
+        k = len(levels)
+        d = np.subtract(levels[:, 1:], levels[:, :-1], out=db[:k])
+        t = terms[:k]
+        if r == 0:
+            t.fill(1.0)
+        else:
+            np.copyto(t, d)
+        for bit in bin(r)[3:]:
+            t *= t
+            if bit == "1":
+                t *= d
+        if c is None:
+            x = np.add(levels[:, :-1], levels[:, 1:], out=mid[:k])
+            x *= 0.5
+            t *= g(x)
+        elif c != 1.0:
+            t *= c
+        sums[block] = np.add.reduce(t, axis=1)
+    return sums
 
 
 def riemann_sum(path: FbmPath, f: TestFunction, kind: SchemeKind, t: float) -> float:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from fbmquad import (
     riemann_sum,
     simpson_error_decomposition,
 )
+from fbmquad import schemes
 from fbmquad.covariance import floor_index
 from fbmquad.schemes import (
     ERROR_POWERS,
     constant_value,
+    cut_levels,
     midpoint_power_sums,
     riemann_sums,
 )
@@ -650,6 +653,112 @@ class TestInPlaceKernels:
     )
     def test_riemann_sums_equal_per_step_form(self, values, f, scheme):
         assert_same_bits(riemann_sums(values, f, scheme), per_step_riemann_sums(values, f, scheme))
+
+    # the trimmed Horner skips interior zero additions but must keep the final
+    # + c_0: x -> x maps -0.0 to +0.0 in the per-step form
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0, 1],
+            [0, 0, 0, 0, Fraction(1, 24)],
+            [0] * 6 + [Fraction(1, 720)],
+            [0, 0, 1, 0, -1],
+        ],
+    )
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e200])
+    def test_zero_coefficients_keep_every_bit(self, coeffs, x):
+        p = Polynomial(coeffs)
+        grid = np.full((2, 3), x)
+        with np.errstate(over="ignore"):
+            assert_same_bits(p(x), per_step_value(p, x))
+            assert_same_bits(p(grid, out=np.empty_like(grid)), per_step_value(p, grid))
+
+    # offset-0 nodes evaluate f' on the left levels themselves, whose -0.0 the
+    # per-step form's left + 0.0 * dB turns into +0.0, and the sine branch
+    # keeps that sign in f'; the first node's + 0.0 clears it again
+    @pytest.mark.parametrize("quarter_turns", range(4))
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_signed_zero_levels_keep_every_bit(self, quarter_turns, scheme):
+        values = np.array(
+            [
+                [-0.0, -0.0, -0.0, -0.0],
+                [-0.0, 0.0, -0.0, 0.0],
+                [0.0, -0.0, -0.0, 0.5],
+                [-0.0, -1.0, -0.0, 2.0],
+            ]
+        )
+        f = ScaledCosine(1.5, 2.0, quarter_turns)
+        assert_same_bits(riemann_sums(values, f, scheme), per_step_riemann_sums(values, f, scheme))
+
+    def test_infinite_argument(self):
+        # starting Horner at c_n * x gives inf where the zero start gave 0 * inf = nan
+        assert Polynomial([0, 0, 1])(math.inf) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# row blocks of the kernels
+# ---------------------------------------------------------------------------
+
+BLOCKED_LEVELS = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 12), st.integers(1, 40)),
+    elements=LEVELS,
+)
+
+
+class TestRowBlocks:
+    @given(
+        values=BLOCKED_LEVELS,
+        f=ALL_POLYNOMIALS | QUARTER_COSINES,
+        scheme=st.sampled_from(SchemeKind),
+        r=st.integers(0, 9),
+    )
+    def test_block_size_moves_no_bit(self, values, f, scheme, r):
+        n_rows, m = values.shape[0], values.shape[1] - 1
+        g = f.derivative(r)
+        sums = riemann_sums(values, f, scheme)
+        powers = midpoint_power_sums(values, g, r)
+        assert sums.shape == powers.shape == (n_rows,)
+        # one row per block; blocks of n_rows - 1 rows, which leave a one-row
+        # block at the end from three rows on; one block for everything
+        for block in (1, max(m, 1) * max(1, n_rows - 1), 2**30):
+            with mock.patch.object(schemes, "_BLOCK", block):
+                assert_same_bits(riemann_sums(values, f, scheme), sums)
+                assert_same_bits(midpoint_power_sums(values, g, r), powers)
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_path_cut_before_the_first_step(self, scheme):
+        grid = HurstGrid(0.1, 16)
+        path = generate(grid, CIRC, 7)
+        f = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
+        assert riemann_sum(path, f, scheme, 0.5 / grid.n) == 0.0
+        values = cut_levels(path, 0.5 / grid.n)
+        assert values.shape == (1, 1)
+        assert_same_bits(midpoint_power_sums(values, f.derivative(5), 5), [0.0])
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda v: riemann_sums(v, Polynomial([0] * 7 + [Fraction(1, 5040)]), SchemeKind.MILNE),
+            lambda v: midpoint_power_sums(v, Polynomial([0, 0, Fraction(1, 2)]), 5),
+        ],
+        ids=["riemann_sums", "midpoint_power_sums"],
+    )
+    def test_peak_memory_is_bounded_by_the_block(self, kernel):
+        # the kernel buffers are block-sized, so 8x the rows grow the peak by
+        # the output alone; a buffer sized by N would add 3.5 MiB per array
+        m = 2**13
+        values = np.cumsum(np.random.default_rng(0).standard_normal((512, m + 1)), axis=1)
+        kernel(values[:2])  # warm the derivative caches
+        peaks = {}
+        for n_rows in (64, 512):
+            tracemalloc.start()
+            try:
+                kernel(values[:n_rows])
+                peaks[n_rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] - peaks[64] <= 8 * (512 - 64) + 8 * schemes._BLOCK
 
 
 # ---------------------------------------------------------------------------
