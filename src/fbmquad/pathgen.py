@@ -16,13 +16,29 @@ The stream layer reproduces numpy's seeding bit for bit without running it
 per path.  ``SeedSequence.generate_state`` has a closed form for each output
 word, so a window of replication seeds costs O(stop - start) wherever it sits
 in the master expansion.  A Philox stream is a function of its key and
-counter alone (Salmon et al., SC'11), so the keys of a whole batch are derived
-at once with the same hash arithmetic, and one bit generator per batch is
-re-keyed for each row.
+counter alone (Salmon et al., SC'11), so the keys of a whole block are derived
+at once with the same hash arithmetic, and one bit generator per block is
+re-keyed for each row.  Seeds are integers, taken exactly: a float, a string
+or a nested sequence is refused with ValueError rather than rounded or parsed.
+
+``generate_batch`` runs its rows in blocks of ``block_rows(m)`` =
+max(8, 2**17 // m) rows for m increments, for both samplers, and sums each
+block straight into the returned levels.  A circulant block reuses one
+spectrum buffer, allocated once per call: at most 2^18 complex entries
+(4 MiB), or 8 rows of 2m above m = 2^14.  So a batch costs its levels plus one
+block, whatever its length.  Rows are independent and numpy's FFT gives the
+same bits at any row count, so the block size moves no output bit.  Eight
+rows is the floor because numpy's FFT loses its row batching below about 4
+rows (per-row cost of a length-2^15 FFT on a 2-core Xeon, numpy 2.4.6, at 1,
+2, 3, 4, 8 and 16 rows: 625, 616, 518, 316, 272 and 256 us).  A one-block
+call allocates the spectrum first and the levels only after the transform:
+allocating the levels first raised the benchmark's peak RSS by about 1 MiB
+through glibc's adaptive mmap threshold.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -38,6 +54,10 @@ EIGENVALUE_TOL = -1e-9
 #: Seeds accepted by the samplers: entropy of at most four 32-bit words, which
 #: the vectorized key derivation reproduces exactly.
 SEED_LIMIT = 2**128
+
+#: Increments in one sampler block, and the fewest rows a block holds.
+_BLOCK_INCREMENTS = 2**17
+_MIN_BLOCK_ROWS = 8
 
 # numpy.random.SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -80,7 +100,7 @@ def replication_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start}..{stop}")
-    pool = np.random.SeedSequence(int(master_seed)).pool
+    pool = np.random.SeedSequence(_integer(master_seed, "master seed must be an integer")).pool
     index = np.arange(2 * start, 2 * stop)
     h = _hash_constants(_INIT_B, _MULT_B, 2 * start, 2 * (stop - start))
     return _hashmix(pool[index % _POOL_SIZE], h).astype("<u4").view("<u8").astype(np.uint64)
@@ -95,22 +115,24 @@ def generate(grid: HurstGrid, kind: GeneratorKind, seed: int) -> FbmPath:
 def generate_batch(grid: HurstGrid, kind: GeneratorKind, seeds) -> np.ndarray:
     """Sample one trajectory per seed; row i equals generate(grid, kind, seeds[i]).
 
-    Each row consumes its own Philox stream, so the batch decomposition has no
-    effect on the values.  Seeds must lie in [0, 2**128).  Returns an array of
-    shape (len(seeds), floor(nT)+1).
+    Each row consumes its own Philox stream, so neither the batch nor its
+    blocks have any effect on the values.  Seeds must be integers in
+    [0, 2**128).  Returns an array of shape (len(seeds), floor(nT)+1).
     """
-    seeds = [int(s) for s in np.atleast_1d(seeds).tolist()]
-    bad = [s for s in seeds if not 0 <= s < SEED_LIMIT]
-    if bad:
-        raise ValueError(f"seeds must lie in [0, 2**128), got {bad[0]}")
-    if kind is GeneratorKind.CIRCULANT_EMBEDDING:
-        fgn = _circulant_fgn(grid, seeds)
-    else:
-        fgn = _cholesky_fgn(grid, seeds)
-    paths = np.empty((len(seeds), grid.num_increments + 1))
-    paths[:, 0] = 0.0
-    np.cumsum(fgn, axis=1, out=paths[:, 1:])
+    seeds = _seed_list(seeds)
+    sample = _circulant_blocks if kind is GeneratorKind.CIRCULANT_EMBEDDING else _cholesky_blocks
+    paths = None
+    for rows, fgn in sample(grid, seeds):
+        if paths is None:  # after the first transform: see the module docstring
+            paths = np.empty((len(seeds), grid.num_increments + 1))
+            paths[:, 0] = 0.0
+        np.cumsum(fgn, axis=1, out=paths[rows, 1:])
     return paths
+
+
+def block_rows(m: int) -> int:
+    """Rows in one ``generate_batch`` block at m increments: max(8, 2**17 // m)."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_INCREMENTS // m)
 
 
 def circulant_eigenvalues(grid: HurstGrid) -> np.ndarray:
@@ -129,6 +151,35 @@ def circulant_eigenvalues(grid: HurstGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an int, exactly; anything without ``__index__`` raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
+def _seed_list(seeds) -> list[int]:
+    """Path seeds as Python ints in [0, SEED_LIMIT).
+
+    An integer array goes through ``tolist()``, so a uint64 stays exact where
+    a float64 round trip would not; any other sequence is taken element by
+    element, so a list that mixes int64- and uint64-range ints is exact too.
+    """
+    message = "seeds must be integers in [0, 2**128)"
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        seeds = seeds.tolist()
+    try:
+        seeds = list(seeds)
+    except TypeError:
+        raise ValueError(f"seeds must be a sequence of integers, got {seeds!r}") from None
+    out = [_integer(s, message) for s in seeds]
+    for s in out:
+        if not 0 <= s < SEED_LIMIT:
+            raise ValueError(f"{message}, got {s}")
+    return out
 
 
 def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
@@ -218,39 +269,53 @@ def _cholesky_factor(grid: HurstGrid) -> np.ndarray:
     return factor
 
 
-def _cholesky_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
+def _blocks(seeds: list[int], m: int):
+    """(rows, seeds) of each block; a batch without seeds is one empty block."""
+    step = block_rows(m)
+    for lo in range(0, max(len(seeds), 1), step):
+        part = seeds[lo : lo + step]
+        yield slice(lo, lo + len(part)), part
+
+
+def _cholesky_blocks(grid: HurstGrid, seeds: list[int]):
+    """Yield (rows, fgn) per block, the increments as factor @ z row by row."""
     factor = _cholesky_factor(grid)  # increment_gram enforces the Gram cap
-    normals = np.empty((len(seeds), grid.num_increments))
-    _fill_normals(seeds, normals)
-    # a stack of matrix-vector products, one gemv per row, gives the bits of
-    # ``factor @ row``; one GEMM ``normals @ factor.T`` would round differently
-    return np.matmul(factor, normals[:, :, None])[:, :, 0]
+    m = grid.num_increments
+    normals = np.empty((min(len(seeds), block_rows(m)), m))
+    for rows, part in _blocks(seeds, m):
+        block = normals[: len(part)]
+        _fill_normals(part, block)
+        # a stack of matrix-vector products, one gemv per row, gives the bits of
+        # ``factor @ row``; one GEMM ``normals @ factor.T`` would round differently
+        yield rows, np.matmul(factor, block[:, :, None])[:, :, 0]
 
 
-def _circulant_fgn(grid: HurstGrid, seeds: list[int]) -> np.ndarray:
-    """Davies-Harte sampling, assembled in one preallocated (N, 2m) complex spectrum.
+def _circulant_blocks(grid: HurstGrid, seeds: list[int]):
+    """Davies-Harte sampling; yield (rows, fgn) per block of one reused complex spectrum.
 
     Row i's 2m normals z are drawn straight into the float view of its
     spectrum, where z[2k], z[2k+1] already sit at Re X_k, Im X_k.  Scaling by
     sqrt(lambda_k) (over sqrt 2 inside) then gives X_1..X_{m-1}; X_0 is real
     (its imaginary part is scaled by 0), X_m = sqrt(lambda_m) z[1] is real, and
-    X_{2m-k} = conj(X_k).  The complex FFT runs in place; the result is a view
-    of its real part.
+    X_{2m-k} = conj(X_k).  The complex FFT runs in place; fgn is a view of its
+    real part, valid until the next block overwrites the spectrum.
     """
     m = grid.num_increments
     sq = _sqrt_eigenvalues(grid)
     two_m = 2 * m
-    spectral = np.empty((len(seeds), two_m), dtype=np.complex128)
-    floats = spectral.view(np.float64)[:, :two_m]
-    _fill_normals(seeds, floats)
-    x_m = sq[m] * floats[:, 1]
-    scale = np.empty(two_m)
-    scale[:2] = sq[0], 0.0
-    scale[2:] = np.repeat(sq[1:m] / np.sqrt(2.0), 2)
-    floats *= scale
-    spectral[:, m] = x_m
-    np.conjugate(spectral[:, m - 1 : 0 : -1], out=spectral[:, m + 1 :])
-    np.fft.fft(spectral, axis=1, out=spectral)
-    fgn = spectral.real[:, :m]
-    fgn /= np.sqrt(two_m)
-    return fgn
+    spectrum = np.empty((min(len(seeds), block_rows(m)), two_m), dtype=np.complex128)
+    for rows, part in _blocks(seeds, m):
+        spectral = spectrum[: len(part)]
+        floats = spectral.view(np.float64)[:, :two_m]
+        _fill_normals(part, floats)
+        x_m = sq[m] * floats[:, 1]
+        scale = np.empty(two_m)
+        scale[:2] = sq[0], 0.0
+        scale[2:] = np.repeat(sq[1:m] / np.sqrt(2.0), 2)
+        floats *= scale
+        spectral[:, m] = x_m
+        np.conjugate(spectral[:, m - 1 : 0 : -1], out=spectral[:, m + 1 :])
+        np.fft.fft(spectral, axis=1, out=spectral)
+        fgn = spectral.real[:, :m]
+        fgn /= np.sqrt(two_m)
+        yield rows, fgn

@@ -35,8 +35,8 @@ statistic and the error terms.  Both run the rows in blocks of whole rows of
 at most ``_BLOCK`` = 2^15 elements, so that their few block-sized buffers
 (256 KiB each) stay in L2 cache between passes; each row is reduced on its
 own, so the block size moves no output bit.  The experiments hand them work
-items of up to 2^17 increments, a size set by the FFT's row batching, not by
-the kernels.  The single-path functions run these kernels on the path cut to
+items of one sampler block (``pathgen.block_rows``, capped at 64 rows), a size
+set by the FFT's row batching, not by the kernels.  The single-path functions run these kernels on the path cut to
 floor(nt)/n by ``cut_levels``, as a batch of one row.
 """
 

@@ -1,11 +1,13 @@
 """Path generators: reproducibility, law correctness, embedding health."""
 
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -114,6 +116,30 @@ class TestReproducibility:
         seeds = replication_seeds(41, 0, 6)
         assert np.array_equal(generate_batch(grid, CHOL, seeds), per_row_levels(grid, CHOL, seeds))
 
+    @given(
+        H=st.floats(0.05, 0.95),
+        n=st.integers(3, 80),
+        rows=st.integers(0, 40),
+        block=st.integers(1, 9),
+        kind=st.sampled_from([CIRC, CHOL]),
+    )
+    def test_blocks_equal_per_row_loop(self, H, n, rows, block, kind):
+        # blocks of `block` rows: several of them, the last one partial, or
+        # none at all for an empty batch
+        grid = HurstGrid(H, n)
+        seeds = replication_seeds(17, 0, rows)
+        with mock.patch.object(pathgen, "_BLOCK_INCREMENTS", 1), mock.patch.object(
+            pathgen, "_MIN_BLOCK_ROWS", block
+        ):
+            assert pathgen.block_rows(grid.num_increments) == block
+            values = generate_batch(grid, kind, seeds)
+        assert values.shape == (rows, grid.num_increments + 1)
+        assert np.array_equal(values, per_row_levels(grid, kind, seeds))
+
+    @pytest.mark.parametrize("m, rows", [(2, 2**16), (64, 2048), (2**11, 64), (2**14, 8), (2**15, 8), (2**17, 8)])
+    def test_block_rows(self, m, rows):
+        assert pathgen.block_rows(m) == rows
+
     def test_different_seeds_differ(self):
         grid = HurstGrid(0.1, 64)
         assert not np.array_equal(generate(grid, CIRC, 1).values, generate(grid, CIRC, 2).values)
@@ -184,6 +210,64 @@ class TestStreamLayer:
         batch = generate_batch(grid, CIRC, [0, 2**128 - 1])
         assert batch.shape == (2, 17)
         assert not np.array_equal(batch[0], batch[1])
+
+    @given(
+        seeds=st.lists(
+            st.sampled_from([0, 2**53, 2**63, 2**64]).flatmap(lambda base: st.integers(base, base + 3))
+            | SEEDS,
+            min_size=1,
+            max_size=6,
+        ),
+        kind=st.sampled_from([CIRC, CHOL]),
+    )
+    @example(seeds=[2**63 + 1, 5], kind=CIRC)
+    @example(seeds=[2**53 + 1, 2**63 + 1], kind=CHOL)
+    def test_python_int_seeds_taken_exactly(self, seeds, kind):
+        # a list mixing int64- and uint64-range ints must not pass through float64
+        grid = HurstGrid(0.3, 8)
+        batch = generate_batch(grid, kind, seeds)
+        for row, seed in zip(batch, seeds):
+            assert np.array_equal(row, generate(grid, kind, seed).values)
+        assert np.array_equal(batch, per_row_levels(grid, kind, seeds))
+
+    def test_integer_array_seeds(self):
+        grid = HurstGrid(0.1, 16)
+        seeds = [2**64 - 1, 3, 2**63 + 1]
+        expected = generate_batch(grid, CIRC, seeds)
+        assert np.array_equal(generate_batch(grid, CIRC, np.array(seeds, dtype=np.uint64)), expected)
+        assert np.array_equal(generate_batch(grid, CIRC, np.array([3], dtype=np.int8)), expected[1:2])
+
+    @pytest.mark.parametrize(
+        "seeds, named",
+        [
+            ([3.7], "3.7"),
+            ([1, 3.0], "3.0"),
+            (np.array([1.0, 2.0]), r"np\.float64\(1\.0\)"),
+            (["5"], "'5'"),
+            ("5", "'5'"),
+            ([[1, 2]], r"\[1, 2\]"),
+            (np.array([[1, 2]], dtype=np.uint64), r"\[1, 2\]"),
+            (5, "5"),
+        ],
+    )
+    def test_non_integer_seeds_rejected(self, seeds, named):
+        with pytest.raises(ValueError, match=f"seeds must be .*integers.*got {named}"):
+            generate_batch(HurstGrid(0.1, 16), CIRC, seeds)
+
+    @pytest.mark.parametrize("seed", [3.7, "5", np.float64(2.0)])
+    def test_non_integer_path_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            generate(HurstGrid(0.1, 16), CHOL, seed)
+
+    @pytest.mark.parametrize("master", [2.5, 2.0, "12", None])
+    def test_non_integer_master_seed_rejected(self, master):
+        with pytest.raises(ValueError, match=re.escape(f"master seed must be an integer, got {master!r}")):
+            replication_seeds(master, 0, 4)
+
+    def test_integer_master_seed_types(self):
+        expected = replication_seeds(12, 0, 4)
+        for master in (np.uint64(12), np.int32(12)):
+            assert np.array_equal(replication_seeds(master, 0, 4), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +394,8 @@ class TestEmbedding:
 
 
 def test_batch_peak_memory():
-    # one (N, 2m) complex spectrum plus the levels is 5x the level array; the
-    # bound keeps a stray (N, 2m) temporary from creeping back
+    # 8 MiB of levels plus one 4 MiB spectrum block is 1.5x the level array; a
+    # spectrum sized by the batch, (N, 2m) complex, would make it 5x
     grid = HurstGrid(0.1, 2**14)
     seeds = replication_seeds(12, 0, 64)
     generate_batch(grid, CIRC, seeds[:1])  # warm the eigenvalue cache
@@ -322,7 +406,29 @@ def test_batch_peak_memory():
     finally:
         tracemalloc.stop()
     assert values.shape == (64, 2**14 + 1)
-    assert peak <= 6 * values.nbytes
+    assert peak <= 2 * values.nbytes
+
+
+@pytest.mark.parametrize("kind", [CIRC, CHOL])
+def test_peak_memory_is_bounded_by_the_block(kind):
+    # the sampler reuses one block-sized buffer, so 8x the rows grow the peak
+    # by the output plus at most one block; a buffer sized by N would add
+    # 28 MiB of spectrum
+    grid = HurstGrid(0.1, 64)
+    m = grid.num_increments
+    rows = pathgen.block_rows(m)
+    seeds = replication_seeds(12, 0, 8 * rows)
+    generate_batch(grid, kind, seeds[:1])  # warm the eigenvalue and factor caches
+    peaks = {}
+    for n_rows in (rows, 8 * rows):
+        tracemalloc.start()
+        try:
+            generate_batch(grid, kind, seeds[:n_rows])
+            peaks[n_rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block = 16 * 2 * m * rows
+    assert peaks[8 * rows] - peaks[rows] <= 8 * (m + 1) * 7 * rows + block
 
 
 # ---------------------------------------------------------------------------
