@@ -28,16 +28,17 @@ The first nonzero coefficient fixes the rest: the error power r, the
 exactness degree r - 1, and the critical Hurst exponent 1/(2r) at or below
 which the sums stop converging in probability (1/6, 1/6, 1/10, 1/14).
 
-Each formula is written once, as a row-wise kernel over an (N, m+1) array of
-path levels: ``riemann_sums`` for the composite rules and
-``midpoint_power_sums`` for sum_j g(mid_j) dB_j^r, which serves the error
-statistic and the error terms.  Both run the rows in blocks of whole rows of
-at most ``_BLOCK`` = 2^15 elements, so that their few block-sized buffers
-(256 KiB each) stay in L2 cache between passes; each row is reduced on its
-own, so the block size moves no output bit.  The experiments hand them work
+Every sum is written once, in one row-wise kernel over an (N, m+1) array of
+path levels: per row, sum_j [sum_w weight_w g(B_j + c_w dB_j)] dB_j^r.  With
+g = f' and r = 1 it is a composite rule (``riemann_sums``); with the midpoint
+node mid_j = B_j + dB_j/2 and g = f^(r) it is the error statistic and the error
+terms (``midpoint_power_sums``).  The kernel runs the rows in blocks of whole
+rows of at most ``_BLOCK`` = 2^15 elements, so that its few block-sized
+buffers (256 KiB each) stay in L2 cache between passes; each row is reduced on
+its own, so the block size moves no output bit.  The experiments hand it work
 items of one sampler block (``pathgen.block_rows``, capped at 64 rows), a size
-set by the FFT's row batching, not by the kernels.  The single-path functions run these kernels on the path cut to
-floor(nt)/n by ``cut_levels``, as a batch of one row.
+set by the FFT's row batching, not by the kernel.  The single-path functions
+run it on the path cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
 """
 
 from __future__ import annotations
@@ -341,83 +342,84 @@ def _row_blocks(values: np.ndarray):
     return (rows, m), [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
-def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.ndarray:
-    """Row-wise sum_j [sum_w weight_w f'(node_w)] dB_j over an (N, m+1) array of path levels.
+def _node_sums(values: np.ndarray, g, kind: SchemeKind, r: int) -> np.ndarray:
+    """Row-wise sum_j [sum_w weight_w g(B_j + c_w dB_j)] dB_j^r over an (N, m+1) array of levels.
 
-    The rows run in blocks of at most ``_BLOCK`` elements through four
-    block-sized arrays (increments, accumulator, node, value), allocated once
-    per call, whatever the scheme and N.  Per element the bits equal
-    ``acc += weight * f'(left + offset * dB)`` from acc = 0, with the passes
-    that cannot change them cut: an offset-0 node is the left level, an
-    offset-1 node is left + dB, and the first node is evaluated into the
-    accumulator, whose + 0.0 replaces the add to a zero fill.
+    The rows run in blocks of at most ``_BLOCK`` elements through block-sized
+    arrays (increments, accumulator, node, and value for a rule of more than
+    one node), allocated once per call.  Per element the bits equal
+    ``acc += weight * g(left + offset * dB)`` from acc = 0, times dB^r, with
+    the passes that cannot change them cut: an offset-0 node is the left
+    level, an offset-1 node is left + dB, a unit weight is not multiplied, and
+    the first node is evaluated into the accumulator, whose + 0.0 replaces the
+    add to a zero fill.  dB^r is formed by in-place square-and-multiply, as
+    ``db**r`` goes through libm ``pow`` at many times the cost.  A constant g
+    is not evaluated: its node sum is one float, formed in the same order, and
+    a sum of 1.0 leaves dB^r as it is.
     """
     shape, blocks = _row_blocks(values)
-    fprime = f.derivative(1)
-    db, acc, node, value = (np.empty(shape) for _ in range(4))
+    c = constant_value(g)
+    if c is not None:
+        total = 0.0
+        for _, weight in kind._nodes:
+            total += c * weight
+    db, acc = np.empty(shape), np.empty(shape)
+    node = np.empty(shape) if c is None else None
+    value = np.empty(shape) if c is None and len(kind._nodes) > 1 else None
     sums = np.empty(len(values))
     for block in blocks:
         levels = values[block]
         k = len(levels)
         left = levels[:, :-1]
         d = np.subtract(levels[:, 1:], left, out=db[:k])
-        a, x, v = acc[:k], node[:k], value[:k]
-        for i, (offset, weight) in enumerate(kind._nodes):
-            if offset == 0.0:
-                at = left
-            elif offset == 1.0:
-                at = np.add(left, d, out=x)
-            else:
-                at = np.multiply(d, offset, out=x)
-                at += left
-            target = a if i == 0 else v
-            fprime(at, out=target)
-            target *= weight
-            if i == 0:
-                a += 0.0
-            else:
-                a += v
-        a *= d
+        a = power = acc[:k]
+        if c is None:
+            x = power = node[:k]  # free again once every node is evaluated
+            for i, (offset, weight) in enumerate(kind._nodes):
+                if offset == 0.0:
+                    at = left
+                elif offset == 1.0:
+                    at = np.add(left, d, out=x)
+                else:
+                    at = np.multiply(d, offset, out=x)
+                    at += left
+                target = a if i == 0 else value[:k]
+                g(at, out=target)
+                if weight != 1.0:
+                    target *= weight
+                a += 0.0 if i == 0 else target
+        if r == 1:
+            power = d
+        elif r > 1:
+            np.copyto(power, d)
+            for bit in bin(r)[3:]:
+                power *= power
+                if bit == "1":
+                    power *= d
+        if c is None:
+            if r:
+                a *= power
+        elif r == 0:
+            a.fill(total)
+        else:
+            a = power if total == 1.0 else np.multiply(power, total, out=a)
         sums[block] = np.add.reduce(a, axis=1)
     return sums
 
 
+def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.ndarray:
+    """Row-wise composite rule sum_j [sum_w weight_w f'(B_j + c_w dB_j)] dB_j of (N, m+1) levels."""
+    return _node_sums(values, f.derivative(1), kind, 1)
+
+
 def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
-    """Row-wise sum_j g(mid_j) dB_j^r over an (N, m+1) array of path levels.
+    """Row-wise sum_j g(mid_j) dB_j^r, mid_j = B_j + dB_j/2, over an (N, m+1) array of levels.
 
     With g = f^(r) it gives the error statistic and the error terms of
-    ``error_decomposition``; r = 0 gives n times the midpoint rule for integral g(B_s) ds.
-    The rows run in blocks of at most ``_BLOCK`` elements, like ``riemann_sums``.
-    dB^r is formed by in-place square-and-multiply, because ``db**r`` goes
-    through libm ``pow`` at many times the cost.  A constant g skips the
-    midpoints and is not evaluated.
+    ``error_decomposition``; r = 0 gives n times the midpoint rule for
+    integral g(B_s) ds.  g is called as ``g(x, out=array)``.
     """
-    shape, blocks = _row_blocks(values)
-    c = constant_value(g)
-    db, terms = np.empty(shape), np.empty(shape)
-    mid = np.empty(shape) if c is None else None
-    sums = np.empty(len(values))
-    for block in blocks:
-        levels = values[block]
-        k = len(levels)
-        d = np.subtract(levels[:, 1:], levels[:, :-1], out=db[:k])
-        t = terms[:k]
-        if r == 0:
-            t.fill(1.0)
-        else:
-            np.copyto(t, d)
-        for bit in bin(r)[3:]:
-            t *= t
-            if bit == "1":
-                t *= d
-        if c is None:
-            x = np.add(levels[:, :-1], levels[:, 1:], out=mid[:k])
-            x *= 0.5
-            t *= g(x)
-        elif c != 1.0:
-            t *= c
-        sums[block] = np.add.reduce(t, axis=1)
-    return sums
+    return _node_sums(values, g, SchemeKind.MIDPOINT, r)
 
 
 def riemann_sum(path: FbmPath, f: TestFunction, kind: SchemeKind, t: float) -> float:

@@ -6,6 +6,8 @@ resolved here without installing the tracer.  The benchmark also compares the
 value names and verdict keys of every experiment report with those stored in
 ``perfbench/reference.json``, so each experiment operation of its workloads is
 run here on small grids and its names are checked against the stored ones.
+The small-paths operations, which reach the kernels through the single-path
+functions, are run at their tiny size and must pass every gate.
 """
 
 import dataclasses
@@ -77,3 +79,11 @@ def test_report_names_match_benchmark_reference(workload):
         result = op()
         assert sorted(result["values"]) == sorted(reference[name]["values"]), name
         assert sorted(result["verdicts"]) == sorted(reference[name]["verdicts"]), name
+
+
+def test_small_paths_operations_pass_their_gates():
+    # the single-path schemes, samplers and identities of small-paths at its
+    # tiny size; its verdicts are not asserted, the tiny KS check fails by design
+    ops, _ = WORKLOADS.BUILDERS["small-paths"](fbmquad, 12, 1, True)
+    for name, op in ops:
+        assert all(op()["gates"].values()), name

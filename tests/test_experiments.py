@@ -406,6 +406,13 @@ class TestCltExperiment:
         assert entry["ks_p_value"] is None
         assert entry["predicted_variance_exact"] is None
         assert entry["target_variance"] > 0.0
+        # no KS test ran, so there is no KS verdict to pass
+        assert list(report.payload["verdicts"]) == [
+            "variance_final",
+            "variance_trend",
+            "corr_final",
+            "mean_final",
+        ]
 
     def test_report_structure(self):
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, master_seed=5)

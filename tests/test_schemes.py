@@ -569,6 +569,15 @@ class TestBatchConsistency:
         for i, path in enumerate(paths):
             assert stats[i] == error_statistic(path, f, t)
 
+    @given(batch=batches())
+    def test_midpoint_rule_is_defined_once(self, batch):
+        # the composite midpoint rule is the power sum at r = 1 with g = f'
+        _, levels, _, f = batch
+        assert_same_bits(
+            riemann_sums(levels, f, SchemeKind.MIDPOINT),
+            midpoint_power_sums(levels, f.derivative(1), 1),
+        )
+
     @given(
         batch=batches(functions=st.one_of(CONSTANTS, POLYNOMIALS, COSINES)),
         r=st.integers(0, 11),
