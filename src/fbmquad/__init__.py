@@ -7,7 +7,7 @@ Gaussian fluctuation law, and seeded Monte Carlo experiments that verify the
 theory at desk scale.
 """
 
-from .constants import KappaResult, beta, beta_squared, beta_terms, kappa
+from .constants import KappaResult, beta, beta_squared, beta_terms, kappa, predicted_error_variance
 from .covariance import (
     GRAM_CAP_DEFAULT,
     HurstGrid,
@@ -22,7 +22,6 @@ from .experiments import (
     ExperimentReport,
     canonical_json,
     partial_interval_second_moment,
-    predicted_error_variance,
     run_clt_experiment,
     run_divergence_probe,
     run_rate_experiment,

@@ -140,16 +140,14 @@ def _experiment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_constants(args) -> int:
-    k5, k3 = beta_terms(args.H, args.tol)
+    kappas = beta_terms(args.H, args.tol)  # q = r, r-2, ..., 3; rendered by ascending q
     payload = {
         "H": args.H,
-        "kappa3": k3.value,
-        "kappa5": k5.value,
-        "beta": math.sqrt(beta_squared(k5, k3)),
+        **{f"kappa{k.m}": k.value for k in reversed(kappas)},
+        "beta": math.sqrt(beta_squared(*kappas)),
         "tol": args.tol,
-        "truncation_P": max(k3.truncation_P, k5.truncation_P),
-        "tail_bound_kappa3": k3.tail_bound,
-        "tail_bound_kappa5": k5.tail_bound,
+        "truncation_P": max(k.truncation_P for k in kappas),
+        **{f"tail_bound_kappa{k.m}": k.tail_bound for k in reversed(kappas)},
     }
     print(canonical_json(payload))
     return 0

@@ -9,23 +9,25 @@ value estimate for the second difference of x^{2H}).  A scheme whose leading
 error term is sum_j f^(r)(mid_j) dB_j^r has, at its critical exponent
 H = 1/(2r), the variance constant
 
-    beta_r^2 = sum_{q = r, r-2, ..., 3} w_q kappa_q(H),   w_q = C(r, p)^2 q! 2^{-q},
+    beta_r^2 = sum_{q = r, r-2, ..., 3} W_q 2^{-q} kappa_q(H),   W_q = C(r, p)^2 q!,
 
 with x^r = sum_p C(r, p) H_{r-2p}(x) and q = r - 2p (``power_to_hermite``); the
-q = 1 chaos telescopes and does not enter.  Simpson's r = 5 gives the paper's
-beta, evaluated at H = 1/10 in the headline experiment.  Truncation points are
-chosen from the analytic tail bound, and terms are accumulated smallest
-first with compensated summation (kappa_5 terms span ~14 orders of
-magnitude).
+q = 1 chaos telescopes and does not enter.  The same integer table W_q, down to
+q = 1, gives the exact finite-n variance of sum_j dB_j^r
+(``predicted_error_variance``).  Simpson's r = 5 gives the paper's beta,
+evaluated at H = 1/10 in the headline experiment.  Truncation points are chosen
+from the analytic tail bound, and terms are accumulated smallest first with
+compensated summation (kappa_5 terms span ~14 orders of magnitude).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .covariance import rho
+import numpy as np
+
+from .covariance import HurstGrid, rho
 from .hermite import power_to_hermite
 
 #: Floor on the truncation point so the bound's |p| >= 2 regime always applies.
@@ -82,9 +84,9 @@ def beta(H: float = 0.1, tol: float = DEFAULT_TOL) -> float:
 
 
 def beta_squared(*kappas: KappaResult) -> float:
-    """The limit variance constant beta_r^2 = sum_q w_q kappa_q over the sums of ``beta_terms``."""
+    """The limit variance constant beta_r^2 = sum_q W_q 2^{-q} kappa_q of ``beta_terms``' sums."""
     weights = dict(_chaos_weights(max(k.m for k in kappas)))
-    beta_sq = sum(float(weights[k.m]) * k.value for k in kappas)
+    beta_sq = sum(weights[k.m] / 2**k.m * k.value for k in kappas)  # W_q / 2^q is exact
     if beta_sq <= 0.0:
         # a limit variance is nonnegative: a computation defect, not a value to clamp
         raise ArithmeticError(f"variance constant came out nonpositive: {beta_sq}")
@@ -93,17 +95,34 @@ def beta_squared(*kappas: KappaResult) -> float:
 
 def beta_terms(H: float, tol: float = DEFAULT_TOL, r: int = 5) -> tuple[KappaResult, ...]:
     """The lattice sums kappa_q, q = r, r-2, ..., 3, entering beta_r, each truncated so beta_r is within tol."""
-    # kappa_q within tol / (2 w_q) moves beta_r^2 by at most (r-1)/4 tol, hence
-    # beta_r = sqrt(beta_r^2) by at most tol when beta_r >= (r-1)/8
-    return tuple(kappa(q, H, tol / float(2 * w)) for q, w in _chaos_weights(r))
+    # kappa_q within tol / (2 w_q), w_q = W_q 2^{-q}, moves beta_r^2 by at most
+    # (r-1)/4 tol, hence beta_r = sqrt(beta_r^2) by at most tol when beta_r >= (r-1)/8
+    return tuple(kappa(q, H, tol / (w / 2 ** (q - 1))) for q, w in _chaos_weights(r) if q >= 3)
 
 
-def _chaos_weights(r: int) -> list[tuple[int, Fraction]]:
-    """(q, w_q) with w_q = C(r, p)^2 q! 2^{-q}, for q = r - 2p = r, r-2, ..., 3."""
+def predicted_error_variance(grid: HurstGrid, r: int, c: float = 1.0) -> float:
+    """Exact Var(c * sum_j dB_j^r) over the floor(nT) increments of ``grid``.
+
+    Splitting the r-th power over the Hermite basis gives pairwise moments
+    E[X^r Y^r] = sum_q W_q Cov^q Var^{r-q}, W_q from ``_chaos_weights``, so the
+    variance reduces to lag sums of the increment autocovariance.
+    """
+    m = grid.num_increments
+    lags = np.arange(-(m - 1), m)
+    weights = (m - np.abs(lags)).astype(np.float64)
+    half_rho = rho(lags, grid.H) / 2.0
+    v = float(grid.n) ** (-2.0 * grid.H)
+    total = 0.0
+    for q, w in _chaos_weights(r):
+        total += w * v ** (r - q) * v**q * float(np.sum(weights * half_rho**q))
+    return c * c * total
+
+
+def _chaos_weights(r: int) -> list[tuple[int, int]]:
+    """(q, W_q) with the integer W_q = C(r, p)^2 q!, for q = r - 2p = r, r-2, ..., 1."""
     if r < 3:
         raise ValueError(f"error power must be an odd integer >= 3, got {r}")
     return [
-        (r - 2 * p, Fraction(c * c * math.factorial(r - 2 * p), 2 ** (r - 2 * p)))
+        (r - 2 * p, c * c * math.factorial(r - 2 * p))
         for p, c in enumerate(power_to_hermite(r).coeffs)
-        if r - 2 * p >= 3
     ]

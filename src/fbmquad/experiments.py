@@ -35,13 +35,13 @@ statistic); each experiment adds only its own fields and verdicts, and one
 builder assembles the report.
 
 A run is described by one frozen ``ExperimentConfig``, which converts and
-validates its settings; the one check that needs a grid, floor(nt) >= 2, runs
-when ``_sweep`` builds the grids, and an f^(r) that is identically zero, which
-leaves the clt and the divergence probe nothing to test, is refused, both
-before the first path is drawn.  Config files and CLI flags share one key
-vocabulary and both reach it through ``ExperimentConfig.from_mapping``; a
-report echoes its config under the same keys.  The verdict thresholds are
-fixed (``THRESHOLDS``), so no config can loosen a verdict.
+validates its settings.  ``_sweep`` checks floor(nt) >= 2 as it builds the
+grids, and a run that would test nothing is refused: a zero f^(r), or a rate
+fit or an off-critical probe with too few grids.  All of these fail before the
+first path.  Config files and CLI flags share one key vocabulary and both reach
+it through ``ExperimentConfig.from_mapping``; a report echoes its config under
+the same keys.  The verdict thresholds are fixed (``THRESHOLDS``), so no config
+can loosen a verdict.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ from functools import partial
 
 import numpy as np
 
-from .constants import beta_squared, beta_terms
-from .covariance import HurstGrid, cov, floor_index, rho
+from .constants import beta_squared, beta_terms, predicted_error_variance
+from .covariance import HurstGrid, cov
 from .hermite import SUPPORTED_POWERS, hermite_eval, power_to_hermite
 from .pathgen import FbmPath, GeneratorKind, block_rows, generate_batch, replication_seeds
+from .pathgen import _integer
 from .schemes import (
     Polynomial,
     SchemeKind,
@@ -94,6 +95,12 @@ THRESHOLDS = {
 
 _value = operator.attrgetter("value")
 
+
+def _int(value):
+    """Text through ``int``; a typed value as is, for ``ExperimentConfig`` to take exactly."""
+    return int(value) if isinstance(value, str) else value
+
+
 #: Config-file key, which is also the dest of the experiment commands' CLI
 #: flag, -> (ExperimentConfig field, converter from text or from a typed value,
 #: converter to the report's JSON echo, or None to leave the key out of it).
@@ -102,22 +109,22 @@ CONFIG_KEYS = {
     "H": ("H", float, float),
     "n": (
         "n_values",
-        lambda v: [int(n) for n in (v if isinstance(v, (list, tuple)) else str(v).split(","))],
+        lambda v: [_int(n) for n in (v if isinstance(v, (list, tuple)) else str(v).split(","))],
         list,
     ),
-    "M": ("replications", int, int),
+    "M": ("replications", _int, int),
     "t": ("t", float, float),
-    "seed": ("master_seed", int, int),
+    "seed": ("master_seed", _int, int),
     "scheme": ("scheme", SchemeKind, _value),
     "f": ("f", parse_test_function, operator.methodcaller("spec")),
-    "threads": ("threads", int, None),  # reports are byte-identical across thread counts
+    "threads": ("threads", _int, None),  # reports are byte-identical across thread counts
     "slope_tol": ("slope_tol", float, float),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one Monte Carlo run, and the validator of its settings."""
+    """Declarative description of one Monte Carlo run; validates its settings, integers exactly."""
 
     H: float
     n_values: tuple[int, ...]
@@ -130,7 +137,11 @@ class ExperimentConfig:
     slope_tol: float = 0.35
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        ns = tuple(_integer(n, "n_values must be integers") for n in self.n_values)
+        object.__setattr__(self, "n_values", ns)
+        for name in ("replications", "master_seed", "threads"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _integer(value, f"{name} must be an integer"))
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in the open interval (0, 1), got {self.H}")
         if not self.n_values:
@@ -240,42 +251,20 @@ def canonical_json(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
-def predicted_error_variance(H: float, n: int, t: float, r: int, c: float = 1.0) -> float:
-    """Exact Var(c * sum_j dB_j^r) at finite n, via the chaos decomposition.
-
-    Splitting the r-th power over the Hermite basis gives pairwise moments
-    E[X^r Y^r] = sum_p C(r,p)^2 q_p! Cov^{q_p} Var^{r-q_p} with q_p = r - 2p,
-    so the variance reduces to lag sums of the increment autocovariance.
-    """
-    m = floor_index(n, t)
-    lags = np.arange(-(m - 1), m)
-    weights = (m - np.abs(lags)).astype(np.float64)
-    half_rho = rho(lags, H) / 2.0
-    v = float(n) ** (-2.0 * H)
-    total = 0.0
-    for p, coeff in enumerate(power_to_hermite(r).coeffs):
-        q = r - 2 * p
-        lag_sum = float(np.sum(weights * half_rho**q))
-        total += coeff**2 * math.factorial(q) * v ** (r - q) * v**q * lag_sum
-    return c * c * total
-
-
-def partial_interval_second_moment(grid: HurstGrid, f: TestFunction, t: float) -> float:
-    """E[(f(B_t) - f(B_s))^2] for s = floor(nt)/n, by 2-d Gauss-Hermite quadrature.
+def partial_interval_second_moment(grid: HurstGrid, f: TestFunction) -> float:
+    """E[(f(B_t) - f(B_s))^2] for t = T and s = floor(nT)/n, by 2-d Gauss-Hermite quadrature.
 
     Exact for polynomial f up to degree 10 (integrand degree <= 20 < 2 * 24).
-    Returns 0 when t falls on the grid.
+    Returns 0 when T falls on the grid.  The finite-n variance of the error
+    statistic, ``constants.predicted_error_variance``, is the other exact target.
     """
-    m = floor_index(grid.n, t)
-    s = m / grid.n
+    t = grid.T
+    s = grid.num_increments / grid.n
     if s >= t:
         return 0.0
-    var_s = cov(grid, s, s)
-    var_t = cov(grid, t, t)
-    cov_st = cov(grid, s, t)
-    l11 = math.sqrt(var_s)
-    l21 = cov_st / l11
-    l22 = math.sqrt(max(var_t - l21**2, 0.0))
+    l11 = math.sqrt(cov(grid, s, s))
+    l21 = cov(grid, s, t) / l11
+    l22 = math.sqrt(max(cov(grid, t, t) - l21**2, 0.0))
     nodes, weights = np.polynomial.hermite_e.hermegauss(24)
     weights = weights / math.sqrt(2.0 * math.pi)
     u, v = np.meshgrid(nodes, nodes, indexing="ij")
@@ -437,46 +426,38 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     if not 0.0 < config.H <= 0.5:
         raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
-    r, fr = _leading_term(config)
-    kappas = beta_terms(config.H, r=r)
-    beta_sq = beta_squared(*kappas)
+    r, fr, c = _leading_term(config)
+    kappas, beta_sq, limit = _limit_law(config, r, c)
     exponent = (2 * r * config.H - 1.0) / 2.0
-    c = constant_value(fr)
-    constant_fr = c is not None
 
     def statistic(grid: HurstGrid, values: np.ndarray) -> dict:
         out = {"statistic": float(grid.n) ** exponent * midpoint_power_sums(values, fr, r)}
-        if not constant_fr:
+        if c is None:
             fr_sq = midpoint_power_sums(values, lambda x, out: np.square(fr(x, out), out), 0)
             out["fr_sq_integral"] = fr_sq / grid.n
         return out
 
     def describe(grid: HurstGrid, data: dict, summary) -> dict:
         stat = data["statistic"]
-        if constant_fr:
-            sigma2 = c * c * beta_sq * config.t
-            scale = float(grid.n) ** exponent
-            predicted = scale * scale * predicted_error_variance(config.H, grid.n, config.t, r, c)
-        else:
+        if c is None:  # no unconditional limit law: compare the variance only
             sigma2 = beta_sq * float(np.mean(data["fr_sq_integral"]))
-            predicted = None
-        entry = {
+            predicted = ks = None
+        else:
+            sigma2 = limit
+            scale = float(grid.n) ** exponent
+            predicted = scale * scale * predicted_error_variance(grid, r, c)
+            ks = ks_test_normal(stat, sigma2)
+        return {
             "skewness": summary.skewness,
             "excess_kurtosis": summary.excess_kurtosis,
             "target_variance": float(sigma2),
             "predicted_variance_exact": predicted,
-            "partial_interval_second_moment": partial_interval_second_moment(
-                grid, config.f, config.t
-            ),
+            "partial_interval_second_moment": partial_interval_second_moment(grid, config.f),
+            "ks_statistic": None if ks is None else ks.statistic,
+            "ks_p_value": None if ks is None else ks.p_value,
+            "corr_with_level": correlation(stat, data["b_end"]),
+            "variance_ratio_error": abs(summary.variance / sigma2 - 1.0),
         }
-        if constant_fr:
-            ks = ks_test_normal(stat, sigma2)
-            entry["ks_statistic"], entry["ks_p_value"] = ks.statistic, ks.p_value
-        else:
-            entry["ks_statistic"] = entry["ks_p_value"] = None
-        entry["corr_with_level"] = correlation(stat, data["b_end"])
-        entry["variance_ratio_error"] = abs(summary.variance / sigma2 - 1.0)
-        return entry
 
     results, columns = _sweep(config, statistic, describe)
     last = results[-1]
@@ -486,10 +467,11 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     var_tol = max(
         THRESHOLDS["variance_rel_tol"], 3.0 * last["variance_se"] / last["target_variance"]
     )
+    trend = all(b <= a + 1e-15 for a, b in zip(ratio_errors, ratio_errors[1:]))
     verdicts = {
         "variance_final": ratio_errors[-1] <= var_tol,
-        "variance_trend": all(b <= a + 1e-15 for a, b in zip(ratio_errors, ratio_errors[1:])),
-        **({"ks_final": last["ks_p_value"] > THRESHOLDS["ks_alpha"]} if constant_fr else {}),
+        **({"variance_trend": trend} if len(results) > 1 else {}),
+        **({"ks_final": last["ks_p_value"] > THRESHOLDS["ks_alpha"]} if c is not None else {}),
         "corr_final": abs(last["corr_with_level"]) < sigma_gate / math.sqrt(M),
         "mean_final": abs(last["mean"]) < sigma_gate * math.sqrt(last["variance"] / M),
     }
@@ -517,7 +499,7 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"rate experiment needs H above the {config.scheme.value} threshold "
             f"{threshold:.6g}; the probe below handles H <= threshold"
         )
-    exact = _leading_term_vanishes(config)
+    exact = _leading_term(config, zero_ok=True)[2] == 0.0
     if not exact and len(config.n_values) < 3:
         raise ValueError(
             f"rate experiment fits a slope and needs at least 3 grids, got {len(config.n_values)}"
@@ -534,28 +516,36 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
-    """Raw residual variance at and below the critical exponent; refuses a zero f^(r)."""
+    """Raw residual variance at, below and, as a control, above the critical exponent."""
     threshold = float(config.scheme.critical_hurst)
-    critical = abs(config.H - threshold) <= 1e-12
-    _leading_term(config)  # raises before any path is drawn, as does _plateau_level
-    plateau = _plateau_level(config) if critical else None
+    regime = "below-threshold" if config.H < threshold else "above-threshold"
+    if abs(config.H - threshold) <= 1e-12:
+        regime = "critical"
+    r, _, c = _leading_term(config)
+    if regime == "critical":
+        if c is None:
+            raise ValueError(f"the critical divergence probe needs constant f^({r})")
+        a_r = config.scheme.error_coefficients[r]  # the scheme's leading error coefficient
+        plateau = _limit_law(config, r, c)[2] / float(1 / a_r) ** 2  # (a_r c beta_r)^2 t
+    elif len(config.n_values) < 2:
+        raise ValueError(
+            f"the {regime} divergence probe compares grids and needs at least 2, "
+            f"got {len(config.n_values)}"
+        )
     results, columns = _residual_sweep(config)
-    variances = [r["variance"] for r in results]
-    ses = [r["variance_se"] for r in results]
+    variances = [e["variance"] for e in results]
+    ses = [e["variance_se"] for e in results]
     notes = []
-    if config.H < threshold - 1e-12:
-        regime = "below-threshold"
+    if regime == "below-threshold":
         steps_ok = all(
             variances[i + 1] >= variances[i] - math.hypot(ses[i], ses[i + 1])
             for i in range(len(variances) - 1)
         )
         verdicts = {"non_vanishing": steps_ok}
-    elif critical:
-        regime = "critical"
+    elif regime == "critical":
         notes.append(f"predicted residual variance plateau {plateau!r}")
         verdicts = {"non_vanishing": variances[-1] >= THRESHOLDS["plateau_fraction"] * plateau}
-    else:
-        regime = "above-threshold"  # control case: the residual must vanish
+    else:  # control case: the residual must vanish
         verdicts = {"vanishing": variances[0] >= THRESHOLDS["decrease_factor"] * variances[-1]}
     body = {"regime": regime, "results": results}
     return _report("divergence", config, body, verdicts, notes, columns)
@@ -576,38 +566,30 @@ def _residual_sweep(config: ExperimentConfig):
             "second_moment": float(np.mean(residual**2)),
             "second_moment_se": float(np.std(residual**2, ddof=1))
             / math.sqrt(config.replications),
-            "partial_interval_second_moment": partial_interval_second_moment(
-                grid, config.f, config.t
-            ),
+            "partial_interval_second_moment": partial_interval_second_moment(grid, config.f),
         }
 
     return _sweep(config, statistic, describe)
 
 
-def _plateau_level(config: ExperimentConfig) -> float:
-    """Predicted critical-case residual variance (a_r c beta_r)^2 t for constant f^(r) = c.
+def _leading_term(config: ExperimentConfig, zero_ok: bool = False):
+    """(r, f^(r), c): the scheme's error power, f^(r), and its value c if constant, else None.
 
-    r is the scheme's error power and a_r its leading error coefficient.
+    A zero f^(r) (f integrated exactly: no error term, no limit) raises unless ``zero_ok``.
     """
-    r, fr = _leading_term(config)
-    c = constant_value(fr)
-    if c is None:
-        raise ValueError(f"the critical divergence probe needs constant f^({r})")
-    beta_sq = beta_squared(*beta_terms(config.H, r=r))
-    return c * c * beta_sq * config.t / float(1 / config.scheme.error_coefficients[r]) ** 2
-
-
-def _leading_term_vanishes(config: ExperimentConfig) -> bool:
-    """Whether f^(r) is identically zero, r the error power: the scheme is then exact for f."""
-    return constant_value(config.f.derivative(config.scheme.error_power)) == 0.0
-
-
-def _leading_term(config: ExperimentConfig) -> tuple[int, TestFunction]:
-    """r and f^(r); ValueError if f^(r) is zero, since then the error term and its limit vanish."""
     r = config.scheme.error_power
-    if _leading_term_vanishes(config):
+    fr = config.f.derivative(r)
+    c = constant_value(fr)
+    if c == 0.0 and not zero_ok:
         raise ValueError(
             f"f^({r}) is identically zero for the {config.scheme.value} scheme "
             f"(f = {config.f.spec()}), so its error term vanishes and there is nothing to test"
         )
-    return r, config.f.derivative(r)
+    return r, fr, c
+
+
+def _limit_law(config: ExperimentConfig, r: int, c: float | None):
+    """beta_r's lattice sums, beta_r^2, and the limit variance c^2 beta_r^2 t (None if c is)."""
+    kappas = beta_terms(config.H, r=r)
+    beta_sq = beta_squared(*kappas)
+    return kappas, beta_sq, None if c is None else c * c * beta_sq * config.t

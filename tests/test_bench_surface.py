@@ -2,7 +2,10 @@
 
 The tracer rebinds the names listed in its ``BOUNDARIES`` table; a name that
 no longer resolves would break every traced benchmark run, so each one is
-resolved here without installing the tracer.  The benchmark also compares the
+resolved here without installing the tracer, and the tiny clt-critical
+operation is run with every binding wrapped, so that a layer the package no
+longer calls through its binding shows as a missing span instead of a per-layer
+metric that silently reads 0.  The benchmark also compares the
 value names and verdict keys of every experiment report with those stored in
 ``perfbench/reference.json``, so each experiment operation of its workloads is
 run here on small grids and its names are checked against the stored ones.
@@ -33,7 +36,8 @@ def _load(name: str):
     return module
 
 
-BOUNDARIES = _load("tracer").BOUNDARIES
+TRACING = _load("tracer")
+BOUNDARIES = TRACING.BOUNDARIES
 WORKLOADS = _load("workloads")
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
@@ -60,6 +64,34 @@ def test_tracer_binding_resolves(binding):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_tiny_clt_records_a_span_per_layer(monkeypatch):
+    # the tracer's own rebinding, through monkeypatch so that it is undone
+    tracer = TRACING.Tracer()
+    for name, bindings in BOUNDARIES.items():
+        for binding in bindings:
+            module_name, _, path = binding.partition(":")
+            owner = importlib.import_module(module_name)
+            *owners, attr = path.split(".")
+            for part in owners:
+                owner = getattr(owner, part)
+            monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr)))
+    ops, _ = WORKLOADS.BUILDERS["clt-critical"](fbmquad, 12, 1, True)
+    for _, op in ops:
+        op()
+    names = [span["name"] for span in tracer.spans]
+    # both exact targets on each of the three grids, and beta_r's sums once
+    assert names.count("experiments.exact_targets") == 6
+    assert names.count("constants.beta_terms") == 1
+    assert {
+        "experiments.run",
+        "pathgen.replication_seeds",
+        "pathgen.generate_batch",
+        "stats",
+        "experiments.report_io",
+    } <= set(names)
+    assert not [span for span in tracer.spans if span["error"]]
 
 
 def test_simpson_decomposition_name_telescopes():

@@ -46,12 +46,26 @@ BAD_CONFIG_FLAGS = {
 # ---------------------------------------------------------------------------
 
 
+#: Exact stdout of ``fbmquad constants --H 0.1 --tol 1e-9``.
+CONSTANTS_H01 = """{
+  "H": 0.1,
+  "kappa3": 6.765790285291862,
+  "kappa5": 31.105773113908402,
+  "beta": 24.981611648851764,
+  "tol": 1e-09,
+  "truncation_P": 85,
+  "tail_bound_kappa3": 6.354895427856887e-12,
+  "tail_bound_kappa5": 6.710886400000007e-11
+}
+"""
+
+
 class TestConstantsCommand:
     def test_critical_point_output(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--H", "0.1", "--tol", "1e-9")
         assert code == 0
+        assert out == CONSTANTS_H01
         payload = json.loads(out)
-        assert set(payload) >= {"H", "kappa3", "kappa5", "beta", "tol", "truncation_P"}
         assert payload["beta"] == pytest.approx(24.9816116488, abs=1e-6)
         assert payload["tail_bound_kappa3"] < 1e-8
         assert payload["tail_bound_kappa5"] < 1e-8

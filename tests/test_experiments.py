@@ -88,6 +88,44 @@ class TestConfig:
             with pytest.raises(ValueError, match="slope_tol must be positive and finite"):
                 ExperimentConfig(H=0.1, n_values=(64,), replications=100, slope_tol=slope_tol)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(n_values=(16.7, 32, 64)), "n_values"),
+            (dict(n_values=(16, "32")), "n_values"),
+            (dict(replications=150.5), "replications"),
+            (dict(replications="150"), "replications"),
+            (dict(master_seed=2.0), "master_seed"),
+            (dict(threads=1.5), "threads"),
+        ],
+    )
+    def test_integer_fields_taken_exactly(self, kwargs, field):
+        # a float or a string is refused, naming the field, not truncated or parsed
+        with pytest.raises(ValueError, match=rf"^{field} must be (an integer|integers), got "):
+            ExperimentConfig(**{"H": 0.1, "n_values": (64,), **kwargs})
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("n", [16.7, 32], "n_values"),
+            ("M", 150.5, "replications"),
+            ("seed", 2.0, "master_seed"),
+            ("threads", 1.5, "threads"),
+        ],
+    )
+    def test_from_mapping_takes_typed_integers_exactly(self, key, value, field):
+        # text is parsed by int(); an already typed value reaches the config as it is
+        with pytest.raises(ValueError, match=rf"^{field} must be (an integer|integers), got "):
+            ExperimentConfig.from_mapping({"H": 0.1, "n": [64], key: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = ExperimentConfig(
+            H=0.1, n_values=np.array([16, 32]), replications=np.int64(150), threads=np.uint8(2)
+        )
+        assert cfg.n_values == (16, 32) and type(cfg.n_values[0]) is int
+        assert (cfg.replications, cfg.threads) == (150, 2)
+        assert type(cfg.replications) is int
+
     def test_frozen_and_replace_revalidates(self):
         cfg = ExperimentConfig(H=0.1, n_values=(64,), replications=100)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -235,7 +273,7 @@ class TestDeterminism:
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         for threads in (64, None, 1):
-            cfg = ExperimentConfig(H=0.2, n_values=(16,), replications=200, threads=threads)
+            cfg = ExperimentConfig(H=0.2, n_values=(16, 32), replications=200, threads=threads)
             run_divergence_probe(cfg)
         assert workers == [2, 2, 1]
 
@@ -277,7 +315,20 @@ class TestPredictedVariance:
                     u, v = np.meshgrid(nodes, nodes, indexing="ij")
                     w2 = np.outer(weights, weights)
                     total += float(np.sum(w2 * (l11 * u) ** r * (l21 * u + l22 * v) ** r))
-            assert predicted_error_variance(H, n, 1.0, r) == pytest.approx(total, rel=1e-10)
+            assert predicted_error_variance(grid, r) == pytest.approx(total, rel=1e-10)
+
+    @pytest.mark.parametrize("T", [1.0, 0.7])
+    @pytest.mark.parametrize("r", [3, 5, 7, 9])
+    def test_brownian_closed_form(self, r, T):
+        # at H = 1/2 the m = floor(nT) increments are independent N(0, 1/n), so
+        # Var(sum_j dB_j^r) = m (2r-1)!! n^{-r}: every row of the chaos table
+        # down to q = 1 enters, and only the grid's full increments count
+        n = 64
+        grid = HurstGrid(0.5, n, T=T)
+        m = math.floor(n * T)
+        expected = m * math.prod(range(2 * r - 1, 0, -2)) * float(n) ** -r
+        assert predicted_error_variance(grid, r) == pytest.approx(expected, rel=1e-15)
+        assert predicted_error_variance(grid, r, 3.0) == pytest.approx(9.0 * expected, rel=1e-15)
 
     def test_monte_carlo_agreement(self):
         H, n, reps = 0.1, 64, 40_000
@@ -289,14 +340,14 @@ class TestPredictedVariance:
         est = stat.var(ddof=1)
         fourth = np.mean((stat - stat.mean()) ** 4)
         se = math.sqrt((fourth - est**2) / reps)
-        assert abs(est - predicted_error_variance(H, n, 1.0, 5)) <= 4.0 * se
+        assert abs(est - predicted_error_variance(grid, 5)) <= 4.0 * se
 
     def test_approaches_beta_squared(self):
         from fbmquad import beta
 
         target = beta(0.1) ** 2
         errors = [
-            abs(predicted_error_variance(0.1, n, 1.0, 5) / target - 1.0)
+            abs(predicted_error_variance(HurstGrid(0.1, n), 5) / target - 1.0)
             for n in (2**10, 2**12, 2**14)
         ]
         assert errors[0] < 0.002
@@ -306,7 +357,7 @@ class TestPredictedVariance:
 class TestPartialInterval:
     def test_zero_on_grid(self):
         grid = HurstGrid(0.1, 64)
-        assert partial_interval_second_moment(grid, QUINTIC, 1.0) == 0.0
+        assert partial_interval_second_moment(grid, QUINTIC) == 0.0
 
     def test_positive_and_decaying_off_grid(self):
         # the leftover gap scales like |t - floor(nt)/n|^{2H}: slow but monotone-ish
@@ -315,7 +366,7 @@ class TestPartialInterval:
             values = []
             for n in (16, 64, 256, 1024):
                 grid = HurstGrid(H, n, T=t)
-                values.append(partial_interval_second_moment(grid, QUINTIC, t))
+                values.append(partial_interval_second_moment(grid, QUINTIC))
             assert all(v > 0.0 for v in values)
             assert values == sorted(values, reverse=True)
             assert values[-1] < values[0] / factor
@@ -334,7 +385,7 @@ class TestPartialInterval:
         rng = np.random.Generator(np.random.Philox(17))
         z = L @ rng.standard_normal((2, 400_000))
         mc = np.mean((QUINTIC(z[1]) - QUINTIC(z[0])) ** 2)
-        exact = partial_interval_second_moment(grid, QUINTIC, t)
+        exact = partial_interval_second_moment(grid, QUINTIC)
         assert exact == pytest.approx(mc, rel=0.05)
 
 
@@ -392,7 +443,8 @@ class TestCltExperiment:
         for entry, n in zip(report.payload["results"], cfg.n_values):
             scale_sq = float(n) ** (10 * 0.5 - 1.0)
             predicted = entry["predicted_variance_exact"]
-            assert predicted == pytest.approx(scale_sq * predicted_error_variance(0.5, n, 1.0, 5))
+            grid = HurstGrid(0.5, n)
+            assert predicted == pytest.approx(scale_sq * predicted_error_variance(grid, 5))
             assert abs(entry["variance"] - predicted) <= 6.0 * entry["variance_se"]
             assert abs(entry["mean"]) <= 4.0 * math.sqrt(entry["variance"] / entry["count"])
         assert report.payload["verdicts"]["mean_final"]
@@ -406,13 +458,15 @@ class TestCltExperiment:
         assert entry["ks_p_value"] is None
         assert entry["predicted_variance_exact"] is None
         assert entry["target_variance"] > 0.0
-        # no KS test ran, so there is no KS verdict to pass
-        assert list(report.payload["verdicts"]) == [
-            "variance_final",
-            "variance_trend",
-            "corr_final",
-            "mean_final",
-        ]
+        # no KS test ran and one grid has no trend, so neither verdict is reported
+        assert list(report.payload["verdicts"]) == ["variance_final", "corr_final", "mean_final"]
+
+    def test_one_grid_reports_no_variance_trend(self):
+        cfg = ExperimentConfig(H=0.1, n_values=(16,), replications=100, master_seed=7)
+        verdicts = run_clt_experiment(cfg).payload["verdicts"]
+        assert list(verdicts) == ["variance_final", "ks_final", "corr_final", "mean_final"]
+        two_grids = dataclasses.replace(cfg, n_values=(16, 32))
+        assert "variance_trend" in run_clt_experiment(two_grids).payload["verdicts"]
 
     def test_report_structure(self):
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, master_seed=5)
@@ -500,7 +554,9 @@ class TestDivergenceProbe:
         assert batch_calls == []
 
     def test_plateau_level_from_leading_coefficient(self):
-        # (a_r c beta_r)^2 t for constant f^(r) = c, r the scheme's error power
+        # the critical probe's plateau is (a_r c beta_r)^2 t for constant
+        # f^(r) = c, r the scheme's error power; it accepts one grid, which it
+        # compares with the plateau
         for scheme, f, a_r in (
             (SchemeKind.MIDPOINT, Polynomial([0, 0, 0, 1]), Fraction(-1, 24)),
             (SchemeKind.SIMPSON, QUINTIC, Fraction(1, 2880)),
@@ -508,15 +564,30 @@ class TestDivergenceProbe:
         ):
             r = scheme.error_power
             H = float(scheme.critical_hurst)
-            cfg = ExperimentConfig(H=H, n_values=(16,), t=0.5, scheme=scheme, f=f)
+            cfg = ExperimentConfig(
+                H=H, n_values=(16,), replications=100, t=0.5, scheme=scheme, f=f
+            )
             c = float(f.derivative(r).coeffs[0])
             beta_sq = beta_squared(*beta_terms(H, r=r))
             expected = c * c * beta_sq * 0.5 * float(a_r) ** 2
-            assert experiments._plateau_level(cfg) == pytest.approx(expected, rel=1e-14)
+            payload = run_divergence_probe(cfg).payload
+            assert payload["regime"] == "critical"
+            note, = payload["notes"]
+            assert note.startswith("predicted residual variance plateau ")
+            assert float(note.rsplit(" ", 1)[1]) == pytest.approx(expected, rel=1e-14)
         with pytest.raises(ValueError, match=r"f\^\(3\)"):
-            experiments._plateau_level(
+            run_divergence_probe(
                 ExperimentConfig(H=1 / 6, n_values=(16,), scheme=SchemeKind.TRAPEZOID)
             )
+
+    @pytest.mark.parametrize("H, regime", [(0.05, "below-threshold"), (0.2, "above-threshold")])
+    def test_one_grid_off_threshold_fails_before_any_path(self, capsys, batch_calls, H, regime):
+        # one grid leaves no step to compare, and above threshold the verdict
+        # would reduce to v >= 4 v
+        code, out, err = run_cli(capsys, "diverge", "--H", str(H), "--n", "256", "--M", "100")
+        assert (code, out, batch_calls) == (2, "", [])
+        assert f"error: the {regime} divergence probe compares grids and needs at least 2" in err
+        assert "Traceback" not in err
 
     def test_above_threshold_control_decays(self):
         cfg = ExperimentConfig(
