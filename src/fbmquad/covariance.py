@@ -17,6 +17,7 @@ the path generators.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ class HurstGrid:
     T: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n must be an integer >= 2"))
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in the open interval (0, 1), got {self.H}")
         if self.n < 2:
@@ -109,6 +111,14 @@ def fgn_autocov(grid: HurstGrid, max_lag: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an int, exactly; anything without ``__index__`` raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
 
 
 def _check_time(grid: HurstGrid, t: float) -> None:

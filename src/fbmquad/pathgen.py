@@ -38,14 +38,13 @@ through glibc's adaptive mmap threshold.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .covariance import HurstGrid, fgn_autocov, increment_gram
+from .covariance import HurstGrid, _integer, fgn_autocov, increment_gram
 
 #: Embedding eigenvalues in [EIGENVALUE_TOL, 0) are clamped to zero; anything
 #: below makes circulant generation raise ValueError.
@@ -151,14 +150,6 @@ def circulant_eigenvalues(grid: HurstGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
-
-
-def _integer(value, message: str) -> int:
-    """``value`` as an int, exactly; anything without ``__index__`` raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{message}, got {value!r}") from None
 
 
 def _seed_list(seeds) -> list[int]:

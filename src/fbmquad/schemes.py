@@ -351,11 +351,11 @@ def _node_sums(values: np.ndarray, g, kind: SchemeKind, r: int) -> np.ndarray:
     ``acc += weight * g(left + offset * dB)`` from acc = 0, times dB^r, with
     the passes that cannot change them cut: an offset-0 node is the left
     level, an offset-1 node is left + dB, a unit weight is not multiplied, and
-    the first node is evaluated into the accumulator, whose + 0.0 replaces the
-    add to a zero fill.  dB^r is formed by in-place square-and-multiply, as
-    ``db**r`` goes through libm ``pow`` at many times the cost.  A constant g
-    is not evaluated: its node sum is one float, formed in the same order, and
-    a sum of 1.0 leaves dB^r as it is.
+    the first node is evaluated into the accumulator, keeping a -0.0 that 0 + g
+    clears, as ``np.add.reduce`` sums a row of -0.0 to +0.0.  dB^r is formed
+    by in-place square-and-multiply, as ``db**r`` goes through libm ``pow`` at
+    many times the cost.  A constant g is not evaluated: its node sum is one
+    float, formed in the same order, and a sum of 1.0 leaves dB^r as it is.
     """
     shape, blocks = _row_blocks(values)
     c = constant_value(g)
@@ -387,7 +387,8 @@ def _node_sums(values: np.ndarray, g, kind: SchemeKind, r: int) -> np.ndarray:
                 g(at, out=target)
                 if weight != 1.0:
                     target *= weight
-                a += 0.0 if i == 0 else target
+                if i:
+                    a += target
         if r == 1:
             power = d
         elif r > 1:

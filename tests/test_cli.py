@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from fbmquad import ExperimentConfig, SchemeKind, experiments, run_rate_experiment
 from fbmquad.cli import _build_parser, _config_from_args, main
 from fbmquad.constants import DEFAULT_TOL
-from fbmquad.experiments import CONFIG_KEYS
+from fbmquad.experiments import CONFIG_KEYS, read_config
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -418,3 +420,34 @@ class TestConfigMerge:
             argv += _flags(key, text)
         config = _config_from_args(_build_parser().parse_args(argv))
         assert config == ExperimentConfig.from_mapping({**file_raw, **flag_raw})
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang: str, after: str) -> str:
+    """The first fenced ``lang`` block of README.md after the line ``after``."""
+    text = README.read_text(encoding="utf-8")
+    text = text[text.index(f"\n{after}\n") :]
+    start = text.index(f"```{lang}\n") + len(lang) + 4
+    return text[start : text.index("```", start)]
+
+
+class TestReadmeExamples:
+    def test_cli_lines_parse_and_configure(self):
+        lines = [line for line in _readme_block("bash", "## CLI").splitlines() if line]
+        assert len(lines) == 8 and all(line.startswith("fbmquad ") for line in lines)
+        for line in lines:
+            args = _build_parser().parse_args(shlex.split(line)[1:])
+            if args.command in ("clt", "rate", "diverge"):
+                assert isinstance(_config_from_args(args), ExperimentConfig), line
+
+    def test_config_file_example_builds_a_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(_readme_block("ini", "### Config files"), encoding="utf-8")
+        config = ExperimentConfig.from_mapping(read_config(path))
+        assert (config.H, config.n_values, config.replications) == (0.1, (1024, 4096, 16384), 2000)

@@ -1,6 +1,7 @@
 """Covariance kernel: closed forms against brute-force and high-precision oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ class TestGridValidation:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             HurstGrid(0.3, 1)
+
+    @pytest.mark.parametrize("n", [16.5, 16.0, "16", np.float64(16.0), [16]])
+    def test_non_integer_n_is_refused(self, n):
+        # a float n would space the grid by 1/n and stop it short of T
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+            HurstGrid(0.1, n)
+
+    @pytest.mark.parametrize("n", [16, np.int64(16), np.uint8(16)])
+    def test_integer_n_is_stored_as_int(self, n):
+        grid = HurstGrid(0.1, n)
+        assert type(grid.n) is int and grid.n == 16
+        assert grid == HurstGrid(0.1, 16) and hash(grid) == hash(HurstGrid(0.1, 16))
+        assert grid.times()[-1] == 1.0
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):

@@ -422,7 +422,14 @@ class TestCltExperiment:
 
     @pytest.mark.parametrize("f", ["0,1,0,2,1", "cos:0,1", "cos:1,0"])
     @pytest.mark.parametrize(
-        "command, H", [("clt", "0.1"), ("diverge", "0.05"), ("diverge", "0.1"), ("diverge", "0.2")]
+        "command, H",
+        [
+            ("clt", "0.1"),
+            ("rate", "0.25"),
+            ("diverge", "0.05"),
+            ("diverge", "0.1"),
+            ("diverge", "0.2"),
+        ],
     )
     def test_zero_leading_term_is_refused_before_any_path(
         self, capsys, batch_calls, command, H, f
@@ -488,23 +495,26 @@ class TestCltExperiment:
         assert len(lines) == 201
 
 
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("runner", [run_clt_experiment, run_rate_experiment, run_divergence_probe])
+def test_exactly_integrated_f_is_refused_before_any_path(batch_calls, runner, scheme):
+    # f = x^d, d the scheme's exactness degree, has f^(r) = 0: the rule integrates
+    # it exactly, so there is no limit law, rate or plateau to test.  Two grids,
+    # so that a rate run is refused for its f and not for its grid count.
+    H = 0.4 if runner is run_rate_experiment else float(scheme.critical_hurst)
+    f = Polynomial([0] * scheme.exact_degree + [1])
+    cfg = ExperimentConfig(H=H, n_values=(16, 32), replications=100, scheme=scheme, f=f)
+    with pytest.raises(ValueError, match=rf"^f\^\({scheme.error_power}\) is identically zero"):
+        runner(cfg)
+    assert batch_calls == []
+
+
 class TestRateExperiment:
     def test_rejects_at_or_below_threshold(self):
         with pytest.raises(ValueError):
             run_rate_experiment(ExperimentConfig(H=0.1, n_values=(16, 32, 64), replications=100))
         with pytest.raises(ValueError):
             run_rate_experiment(ExperimentConfig(H=0.05, n_values=(16, 32, 64), replications=100))
-
-    def test_exact_scheme_reports_exact(self):
-        cfg = ExperimentConfig(
-            H=0.2, n_values=(16, 32, 64), replications=100, f=Polynomial([0, 0, 0, 0, 1])
-        )
-        report = run_rate_experiment(cfg)
-        assert report.payload["fit"]["exact"] is True
-        assert report.payload["fit"]["slope"] is None
-        assert report.overall_pass
-        # residuals at machine scale
-        assert all(r["second_moment"] < 1e-20 for r in report.payload["results"])
 
     def test_slope_recovery_small_scale(self):
         cfg = ExperimentConfig(
@@ -524,10 +534,6 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match="at least 3 grids"):
             run_rate_experiment(cfg)
         assert batch_calls == []
-        # an exact f fits no slope, so two grids are enough
-        exact = dataclasses.replace(cfg, f=Polynomial([0, 0, 0, 0, 1]))
-        assert run_rate_experiment(exact).payload["fit"]["exact"] is True
-        assert batch_calls
 
 
 class TestDivergenceProbe:

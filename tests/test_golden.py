@@ -17,6 +17,9 @@ began to sample by circulant embedding only, which drops the ``"generator"``
 line of the ``config`` block, and when the clt began to refuse an f with
 f^(5) = 0 instead of passing it, which drops the ``"degenerate"`` field of
 every clt results entry; with those removed, every report and CSV kept its
+bytes.  The two rate digests were re-recorded when the rate experiment began
+to refuse an f with f^(r) = 0, which drops the ``"exact"`` field of its
+``fit`` block; with that line removed, both reports and CSVs kept their
 bytes.  The digests pin every output bit, so any change to
 how seeds, streams, paths or statistics are produced shows up here.  A digest
 may only change together with a CHANGES.md entry that says which outputs moved
@@ -61,7 +64,7 @@ REPORTS = {
     "rate-simpson-H0.2": (
         run_rate_experiment,
         dict(H=0.2, n_values=(32, 64, 128, 256), f=QUINTIC),
-        "87d52581054249311f82bc9d6801af7e1e763e2f9c93ac5f7caee025dcabc49b",
+        "9b4eb52b2eebfe642469bd7c91c6fb54941a5a8092cce6eb50941a20740ee3b0",
     ),
     "rate-milne-H0.15": (
         run_rate_experiment,
@@ -71,7 +74,7 @@ REPORTS = {
             scheme=SchemeKind.MILNE,
             f=Polynomial([0] * 7 + [Fraction(1, 5040)]),
         ),
-        "f04341c9e4f3d8b26fb738b434b891d4946344dfdc5c714d8d3d1afebc46b8ce",
+        "519717973bc71e978f49b5ce79047559d361bfab531f486eaf162f9f587cf18a",
     ),
     "diverge-H0.05": (
         run_divergence_probe,

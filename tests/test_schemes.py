@@ -684,7 +684,7 @@ class TestInPlaceKernels:
 
     # offset-0 nodes evaluate f' on the left levels themselves, whose -0.0 the
     # per-step form's left + 0.0 * dB turns into +0.0, and the sine branch
-    # keeps that sign in f'; the first node's + 0.0 clears it again
+    # keeps that sign in f'; the row sum clears it again (see below)
     @pytest.mark.parametrize("quarter_turns", range(4))
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_signed_zero_levels_keep_every_bit(self, quarter_turns, scheme):
@@ -702,6 +702,15 @@ class TestInPlaceKernels:
     def test_infinite_argument(self):
         # starting Horner at c_n * x gives inf where the zero start gave 0 * inf = nan
         assert Polynomial([0, 0, 1])(math.inf) == math.inf
+
+    def test_row_sums_of_negative_zeros_are_positive_zero(self):
+        # the kernels evaluate the first node straight into the accumulator,
+        # without the per-step form's 0.0 + g that turns -0.0 into +0.0; their
+        # bits rest on numpy summing a row of -0.0 to +0.0, which this pins
+        for width in range(1, 300):
+            rows = np.full((3, width), -0.0)
+            assert_same_bits(np.add.reduce(rows[0]), 0.0)
+            assert_same_bits(np.add.reduce(rows, axis=1), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
