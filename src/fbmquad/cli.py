@@ -5,8 +5,10 @@ Subcommands: ``constants``, ``simulate``, ``integrate``, ``clt``, ``rate``,
 with --csv where applicable; --out also writes the CSV to a file.  ``main``
 writes one timing line per run to stderr.
 The experiment commands get one flag per ``CONFIG_KEYS`` key, kept as text for
-``ExperimentConfig.from_mapping``.  Exit codes: 0 success and all verdicts
-pass, 1 verdict failure, 2 usage or config error.
+``ExperimentConfig.from_mapping``.  Every command that draws paths samples
+them by circulant embedding; the Cholesky sampler is an API reference only.
+Exit codes: 0 success and all verdicts pass, 1 verdict failure, 2 usage or
+config error.  Any other exception is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'fbmquad {args.command} --help' for usage", file=sys.stderr)
         return 2
@@ -108,7 +110,6 @@ def _grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--generator", choices=[g.value for g in GeneratorKind], default="circulant")
 
 
 #: Help text of the experiment flags, by config key.
@@ -155,7 +156,7 @@ def _cmd_constants(args) -> int:
 
 def _make_path(args) -> FbmPath:
     grid = HurstGrid(args.H, args.n, T=args.T)
-    return generate(grid, GeneratorKind(args.generator), args.seed)
+    return generate(grid, GeneratorKind.CIRCULANT_EMBEDDING, args.seed)
 
 
 def _emit(args, columns: dict, payload: dict) -> None:
@@ -173,7 +174,7 @@ def _emit(args, columns: dict, payload: dict) -> None:
 def _cmd_simulate(args) -> int:
     path = _make_path(args)
     columns = {"t": path.grid.times(), "B": path.values}
-    payload = {key: getattr(args, key) for key in ("H", "n", "T", "seed", "generator")}
+    payload = {key: getattr(args, key) for key in ("H", "n", "T", "seed")}
     if args.out:
         payload |= {"rows": len(path.values), "out": args.out}  # data rows, one per grid point
     else:
@@ -197,7 +198,6 @@ def _cmd_integrate(args) -> int:
         "seed": args.seed,
         "scheme": scheme.value,
         "f": f.spec(),
-        "generator": args.generator,
         "riemann_sum": value,
         "increment_of_f": increment_of_f,
         "residual": value - increment_of_f,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import HurstGrid, rho
+from .covariance import HurstGrid, _real, rho
 from .hermite import power_to_hermite
 
 #: Floor on the truncation point so the bound's |p| >= 2 regime always applies.
@@ -56,6 +56,8 @@ def kappa(m: int, H: float, tol: float = DEFAULT_TOL) -> KappaResult:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"m must be an odd integer >= 3, got {m}")
+    H = _real(H, "H must be a real number")
+    tol = _real(tol, "tol must be a real number")
     if not 0.0 < H < 1.0:
         raise ValueError(f"H must lie in (0, 1), got {H}")
     if not 0.0 < tol < math.inf:

@@ -17,6 +17,7 @@ the path generators.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -44,7 +45,9 @@ class HurstGrid:
     T: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "H", _real(self.H, "H must be a real number"))
         object.__setattr__(self, "n", _integer(self.n, "n must be an integer >= 2"))
+        object.__setattr__(self, "T", _real(self.T, "T must be a real number"))
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in the open interval (0, 1), got {self.H}")
         if self.n < 2:
@@ -119,6 +122,13 @@ def _integer(value, message: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{message}, got {value!r}") from None
+
+
+def _real(value, message: str) -> float:
+    """``value`` as a float, for any ``numbers.Real``; text, None and the rest raise ValueError."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{message}, got {value!r}")
+    return float(value)
 
 
 def _check_time(grid: HurstGrid, t: float) -> None:

@@ -17,22 +17,22 @@ Three experiments, all deterministic functions of their configuration:
 All three run one sweep over the grids.  Replication r of the sweep's
 n_index-th grid draws from the Philox stream keyed by (master_seed,
 n_index * M + r), so results are bit-identical for any worker pool size.
-Replications are cut into work items of min(64, ``pathgen.block_rows(m)``)
-rows: sampler blocks of max(8, 2^17 // m) rows, capped at 64, so that each
-item is exactly one block of ``generate_batch``.  Each is reduced to the
-experiment's per-replication statistic by the row-wise kernels of ``schemes``
-and reassembled in replication order.  The two sizes differ on purpose: an
-item is a sampler block, large so that the FFT keeps batching its rows
-(halving it slowed the clt by a quarter, and below 4 rows the FFT stops
-batching), and the kernels block at 2^15 elements so that their buffers stay
-in L2 cache.  Paths are sampled by circulant embedding, nonnegative definite
-for fGn at every H.  One thread pool per run, of at most one worker per core,
-works through the items, grid after grid; with one worker they run in the
-calling thread.  Rows are independent, so neither the item size nor the thread
-count changes the output.  The sweep fills the summary fields every results
-entry shares and the per-replication columns (replication, seed, n, B_t,
-statistic); each experiment adds only its own fields and verdicts, and one
-builder assembles the report.
+Replications are cut into work items of ``pathgen.block_rows(m)`` =
+max(8, 2^17 // m) rows, so that each item is exactly one block of
+``generate_batch``.  Each is reduced to the experiment's per-replication
+statistic by the row-wise kernels of ``schemes`` and reassembled in
+replication order.  The two sizes differ on purpose: an item is a sampler
+block, large so that the FFT keeps batching its rows (halving it slowed the
+clt by a quarter, and below 4 rows the FFT stops batching), and the kernels
+block at 2^15 elements so that their buffers stay in L2 cache.  Paths are
+sampled by circulant embedding, nonnegative definite for fGn at every H.  One
+thread pool per run, of at most one worker per core, works through the items,
+grid after grid; with one worker they run in the calling thread.  Rows are
+independent, so neither the item size nor the thread count changes the
+output.  The sweep fills the summary fields every results entry shares and the
+per-replication columns (replication, seed, n, B_t, statistic); each
+experiment adds only its own fields and verdicts, and one builder assembles
+the report.
 
 A run is described by one frozen ``ExperimentConfig``, which converts and
 validates its settings.  ``_sweep`` checks floor(nt) >= 2 as it builds the
@@ -58,7 +58,7 @@ from functools import partial
 import numpy as np
 
 from .constants import beta_squared, beta_terms, predicted_error_variance
-from .covariance import HurstGrid, _integer, cov
+from .covariance import HurstGrid, _integer, _real, cov
 from .hermite import SUPPORTED_POWERS, hermite_eval, power_to_hermite
 from .pathgen import FbmPath, GeneratorKind, block_rows, generate_batch, replication_seeds
 from .schemes import (
@@ -72,9 +72,6 @@ from .schemes import (
     simpson_error_decomposition,
 )
 from .stats import correlation, fit_loglog_slope, ks_test_normal, summarize
-
-#: Most replications in one work item; below it an item is one sampler block.
-_CHUNK = 64
 
 #: Default master seed for CLI runs and the shipped acceptance configuration.
 DEFAULT_MASTER_SEED = 12
@@ -123,7 +120,7 @@ CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one Monte Carlo run; validates its settings, integers exactly."""
+    """Declarative description of one Monte Carlo run; validates its settings, numbers only."""
 
     H: float
     n_values: tuple[int, ...]
@@ -141,6 +138,9 @@ class ExperimentConfig:
         for name in ("replications", "master_seed", "threads"):
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, _integer(value, f"{name} must be an integer"))
+        for name in ("H", "t", "slope_tol"):
+            value = _real(getattr(self, name), f"{name} must be a real number")
+            object.__setattr__(self, name, value)
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in the open interval (0, 1), got {self.H}")
         if not self.n_values:
@@ -339,13 +339,13 @@ def _sweep(config: ExperimentConfig, statistic, describe):
 
     statistic(grid, values) maps a work item's (rows, floor(nT)+1) matrix of
     paths to a dict of per-replication arrays, among them ``"statistic"``, the
-    value summarized and written to the CSV.  An item holds min(_CHUNK,
-    block_rows(m)) rows for m = floor(nT) increments, one sampler block, and
-    adds the terminal levels ``b_end`` and the stream ``seed`` of its rows.
+    value summarized and written to the CSV.  An item holds block_rows(m) rows
+    for m = floor(nT) increments, one sampler block, and adds the terminal
+    levels ``b_end`` and the stream ``seed`` of its rows.
     One pool of min(threads, cores) workers runs the items of every grid, or
-    this thread if that is 1.  Rows are independent and the items are reassembled in
-    replication order, so neither the item size nor the thread count changes
-    the output.
+    this thread if that is 1.  Rows are independent and the items are
+    reassembled in replication order, so neither the item size nor the thread
+    count changes the output.
     describe(grid, data, summary) returns the fields that follow the shared n,
     count, mean, variance and variance_se of the grid's results entry; data
     holds the concatenated arrays.
@@ -366,7 +366,7 @@ def _sweep(config: ExperimentConfig, statistic, describe):
     results, data = [], []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for i, grid in enumerate(grids):
-            rows = min(_CHUNK, block_rows(grid.num_increments))
+            rows = block_rows(grid.num_increments)
             los = range(0, M, rows)
             run = pool.map if threads > 1 and len(los) > 1 else map
             pieces = list(run(partial(item, i, grid), los, [min(lo + rows, M) for lo in los]))

@@ -36,9 +36,9 @@ terms (``midpoint_power_sums``).  The kernel runs the rows in blocks of whole
 rows of at most ``_BLOCK`` = 2^15 elements, so that its few block-sized
 buffers (256 KiB each) stay in L2 cache between passes; each row is reduced on
 its own, so the block size moves no output bit.  The experiments hand it work
-items of one sampler block (``pathgen.block_rows``, capped at 64 rows), a size
-set by the FFT's row batching, not by the kernel.  The single-path functions
-run it on the path cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
+items of one sampler block (``pathgen.block_rows``), a size set by the FFT's
+row batching, not by the kernel.  The single-path functions run it on the path
+cut to floor(nt)/n by ``cut_levels``, as a batch of one row.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class SchemeKind(Enum):
 
 
 class TestFunction:
-    """Integrand descriptor: callable with exact derivatives of any order <= 11.
+    """Integrand descriptor: callable, with an exact derivative of every order k >= 0.
 
     Instances are immutable values: equal functions compare equal and hash
     alike, so a frozen config holding one is hashable.

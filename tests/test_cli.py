@@ -320,12 +320,21 @@ class TestSelftestAndUsage:
         assert (code, out) == (2, "")
         assert "invalid choice: 'bogus'" in err
 
-    @pytest.mark.parametrize("command", ["clt", "rate", "diverge"])
+    @pytest.mark.parametrize("command", ["clt", "rate", "diverge", "simulate", "integrate"])
     def test_experiments_take_no_generator_flag(self, capsys, command):
-        argv = (command, "--H", "0.1", "--n", "16", "--M", "100", "--generator", "circulant")
+        argv = (command, "--H", "0.1", "--n", "16", "--generator", "circulant")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --generator circulant" in err
+
+    def test_a_defect_in_a_handler_propagates(self, monkeypatch):
+        # only ValueError and OSError are usage errors; anything else is a bug
+        def broken(args):
+            raise IndexError("defect")
+
+        monkeypatch.setattr("fbmquad.cli._cmd_selftest", broken)
+        with pytest.raises(IndexError, match="defect"):
+            main(["selftest"])
 
     @pytest.mark.parametrize(
         "argv, setting",

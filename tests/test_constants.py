@@ -88,6 +88,10 @@ class TestKappa:
             kappa(3, 0.1, tol=math.inf)
         with pytest.raises(ValueError):
             kappa(3, 0.9, 1e-8)  # m(2-2H) = 0.6 <= 1 diverges
+        with pytest.raises(ValueError, match="^H must be a real number, got '0.1'"):
+            kappa(3, "0.1")
+        with pytest.raises(ValueError, match="^tol must be a real number, got '1e-9'"):
+            kappa(3, 0.1, tol="1e-9")
 
     def test_result_includes_central_term(self):
         # the p = 0 term contributes exactly 2^m

@@ -85,6 +85,15 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             HurstGrid(0.3, 16, T=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, setting",
+        [(dict(H="0.1"), "H"), (dict(H=None), "H"), (dict(T="1"), "T"), (dict(T=None), "T")],
+    )
+    def test_text_reals_are_refused(self, kwargs, setting):
+        # a real is a number, never parsed from text
+        with pytest.raises(ValueError, match=rf"^{setting} must be a real number, got "):
+            HurstGrid(**{"H": 0.1, "n": 16, **kwargs})
+
     def test_too_few_points(self):
         # floor(nT) = 1 < 2
         with pytest.raises(ValueError):

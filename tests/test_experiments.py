@@ -118,6 +118,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be (an integer|integers), got "):
             ExperimentConfig.from_mapping({"H": 0.1, "n": [64], key: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(H="0.1"), "H"),
+            (dict(H=None), "H"),
+            (dict(t="1"), "t"),
+            (dict(slope_tol="0.3"), "slope_tol"),
+        ],
+    )
+    def test_real_fields_refuse_text(self, kwargs, field):
+        # text is parsed by the CONFIG_KEYS converters, never by the config itself
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+            ExperimentConfig(**{"H": 0.1, "n_values": (64,), **kwargs})
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = ExperimentConfig(
             H=0.1, n_values=np.array([16, 32]), replications=np.int64(150), threads=np.uint8(2)

@@ -149,7 +149,7 @@ def test_report_bytes(name, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", ["clt-H0.1", "rate-milne-H0.15"])
 def test_report_bytes_with_one_row_per_work_item(name, threads, monkeypatch):
-    monkeypatch.setattr(experiments, "_CHUNK", 1)
+    monkeypatch.setattr(experiments, "block_rows", lambda m: 1)
     assert report_digest(name, threads) == REPORTS[name][2]
 
 

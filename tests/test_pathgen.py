@@ -14,6 +14,7 @@ from scipy.stats import ks_2samp
 from fbmquad import pathgen
 from fbmquad import (
     EIGENVALUE_TOL,
+    GRAM_CAP_DEFAULT,
     FbmPath,
     GeneratorKind,
     HurstGrid,
@@ -342,6 +343,21 @@ class TestEmbedding:
             lam = circulant_eigenvalues(HurstGrid(H, n))
             assert lam.min() >= EIGENVALUE_TOL
             assert lam.min() >= -1e-12  # clamping never actually needed here
+
+    @pytest.mark.parametrize("H", [1e-4, 0.9999])
+    @pytest.mark.parametrize("n", [2, 3, 16, 1000, 4097, 2**14])
+    def test_hurst_near_0_and_1(self, H, n):
+        # the embedding stays positive to 1e-9 of its largest eigenvalue, so
+        # nothing is clamped; the Cholesky reference runs up to its Gram cap
+        grid = HurstGrid(H, n)
+        lam = circulant_eigenvalues(grid)
+        assert lam.min() >= EIGENVALUE_TOL
+        assert lam.min() >= 1e-9 * lam.max()
+        kinds = [CIRC] + ([CHOL] if grid.num_increments <= GRAM_CAP_DEFAULT else [])
+        for kind in kinds:
+            values = generate_batch(grid, kind, [1, 2, 3])
+            assert values.shape == (3, grid.num_increments + 1)
+            assert np.all(values[:, 0] == 0.0) and np.all(np.isfinite(values))
 
     def test_circulant_covariance_identity(self):
         # FFT of the embedding row reproduces the autocovariance exactly
