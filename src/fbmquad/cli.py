@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, runner, help_text in (
         ("clt", run_clt_experiment, "critical-case distributional experiment"),
         ("rate", run_rate_experiment, "squared-residual decay-rate experiment"),
-        ("diverge", run_divergence_probe, "residual variance probe at/below the critical exponent"),
+        ("diverge", run_divergence_probe, "residual variance probe off the critical exponent"),
     ):
         p = sub.add_parser(name, help=help_text)
         _experiment_flags(p)

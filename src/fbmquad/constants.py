@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import HurstGrid, _real, rho
+from .covariance import HurstGrid, _integer, _real, rho
 from .hermite import power_to_hermite
 
 #: Floor on the truncation point so the bound's |p| >= 2 regime always applies.
@@ -54,6 +54,7 @@ def kappa(m: int, H: float, tol: float = DEFAULT_TOL) -> KappaResult:
     Requires odd m >= 3 and m(2 - 2H) > 1 for convergence.  At H = 1/2 only
     p = 0 contributes and the sum is exactly 2^m.
     """
+    m = _integer(m, "m must be an odd integer >= 3")
     if m < 3 or m % 2 == 0:
         raise ValueError(f"m must be an odd integer >= 3, got {m}")
     H = _real(H, "H must be a real number")
@@ -122,8 +123,9 @@ def predicted_error_variance(grid: HurstGrid, r: int, c: float = 1.0) -> float:
 
 def _chaos_weights(r: int) -> list[tuple[int, int]]:
     """(q, W_q) with the integer W_q = C(r, p)^2 q!, for q = r - 2p = r, r-2, ..., 1."""
+    r = _integer(r, "r must be an odd integer >= 3")
     if r < 3:
-        raise ValueError(f"error power must be an odd integer >= 3, got {r}")
+        raise ValueError(f"r must be an odd integer >= 3, got {r}")
     return [
         (r - 2 * p, c * c * math.factorial(r - 2 * p))
         for p, c in enumerate(power_to_hermite(r).coeffs)

@@ -1,47 +1,51 @@
 """Seeded Monte Carlo experiments probing the quadrature limit theory.
 
-Three experiments, all deterministic functions of their configuration:
+Three experiments, all deterministic functions of their configuration, read
+one per-replication quantity: the scheme's residual
+riemann_sum - (f(B_t) - f(0)) over the grid's floor(nt) increments.  For
+polynomial f it is exactly sum_r a_r sum_j f^(r)(mid_j) dB_j^r over r from the
+scheme's error power on, and the first term leads.
 
-- ``run_clt_experiment``: at a scheme's critical Hurst exponent 1/(2r), with
-  r its leading error power, the error statistic sum_j f^(r)(mid_j) dB_j^r
-  converges in law to an independent centered Gaussian with variance
+- ``run_clt_experiment``: at or below a scheme's critical Hurst exponent
+  1/(2r), the statistic n^{(2rH-1)/2} residual / a_r converges in law to an
+  independent centered Gaussian with variance
   beta_r^2 integral f^(r)(B_s)^2 ds; checked through its variance, a KS test,
   correlation with the terminal level, and a mean gate.
-- ``run_rate_experiment``: above a scheme's critical exponent the squared
-  residual decays like n^{1 - 2rH} with r the scheme's leading error power;
-  checked by a log-log slope fit.
-- ``run_divergence_probe``: at or below the critical exponent the raw
-  residual variance stops vanishing (plateau at the critical point, growth
-  below it); checked against the predicted plateau level.
+- ``run_rate_experiment``: above the critical exponent the squared residual
+  decays like n^{1 - 2rH}; checked by a log-log slope fit.
+- ``run_divergence_probe``: below the critical exponent the raw residual
+  variance stops vanishing, and above it, as a control, it vanishes.  At the
+  critical exponent the residual is the clt's statistic, so the probe refuses
+  it.
 
 All three run one sweep over the grids.  Replication r of the sweep's
 n_index-th grid draws from the Philox stream keyed by (master_seed,
 n_index * M + r), so results are bit-identical for any worker pool size.
 Replications are cut into work items of ``pathgen.block_rows(m)`` =
 max(8, 2^17 // m) rows, so that each item is exactly one block of
-``generate_batch``.  Each is reduced to the experiment's per-replication
-statistic by the row-wise kernels of ``schemes`` and reassembled in
-replication order.  The two sizes differ on purpose: an item is a sampler
-block, large so that the FFT keeps batching its rows (halving it slowed the
-clt by a quarter, and below 4 rows the FFT stops batching), and the kernels
-block at 2^15 elements so that their buffers stay in L2 cache.  Paths are
-sampled by circulant embedding, nonnegative definite for fGn at every H.  One
-thread pool per run, of at most one worker per core, works through the items,
-grid after grid; with one worker they run in the calling thread.  Rows are
-independent, so neither the item size nor the thread count changes the
-output.  The sweep fills the summary fields every results entry shares and the
-per-replication columns (replication, seed, n, B_t, statistic); each
-experiment adds only its own fields and verdicts, and one builder assembles
-the report.
+``generate_batch``.  Each is reduced to its rows' residuals by the row-wise
+kernels of ``schemes`` and reassembled in replication order.  The two sizes
+differ on purpose: an item is a sampler block, large so that the FFT keeps
+batching its rows (halving it slowed the clt by a quarter, and below 4 rows
+the FFT stops batching), and the kernels block at 2^15 elements so that their
+buffers stay in L2 cache.  Paths are sampled by circulant embedding,
+nonnegative definite for fGn at every H.  One thread pool per run, of at most
+one worker per core, works through the items, grid after grid; with one worker
+they run in the calling thread.  Rows are independent, so neither the item
+size nor the thread count changes the output.  The sweep fills the summary
+fields every results entry shares and the per-replication columns
+(replication, seed, n, B_t, statistic); each experiment adds only its own
+fields and verdicts, and one builder assembles the report.
 
 A run is described by one frozen ``ExperimentConfig``, which converts and
 validates its settings.  ``_sweep`` checks floor(nt) >= 2 as it builds the
 grids, and a run that would test nothing is refused: a zero f^(r) in any of
-the three, or a rate fit or an off-critical probe with too few grids.  All of
-these fail before the first path.  Config files and CLI flags share one key
-vocabulary and both reach it through ``ExperimentConfig.from_mapping``; a
-report echoes its config under the same keys.  The verdict thresholds are
-fixed (``THRESHOLDS``), so no config can loosen a verdict.
+the three, an H on another run's side of the critical exponent, or a rate fit
+or a probe with too few grids.  All of these fail before the first path.  Config
+files and CLI flags share one key vocabulary and both reach it through
+``ExperimentConfig.from_mapping``; a report echoes its config under the same
+keys.  The verdict thresholds are fixed (``THRESHOLDS``), so no config can
+loosen a verdict.
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ THRESHOLDS = {
     "variance_rel_tol": 0.15,
     "ks_alpha": 0.01,
     "sigma_gate": 4.0,
-    "plateau_fraction": 0.5,
     "decrease_factor": 4.0,
 }
 
@@ -334,14 +337,18 @@ def exact_identity_checks() -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(config: ExperimentConfig, statistic, describe):
+def _sweep(config: ExperimentConfig, describe, scale_exponent=None, extra=None):
     """Run every grid of the sweep; returns the results entries and the CSV columns.
 
-    statistic(grid, values) maps a work item's (rows, floor(nT)+1) matrix of
-    paths to a dict of per-replication arrays, among them ``"statistic"``, the
-    value summarized and written to the CSV.  An item holds block_rows(m) rows
-    for m = floor(nT) increments, one sampler block, and adds the terminal
-    levels ``b_end`` and the stream ``seed`` of its rows.
+    Each row of paths is reduced to the scheme's residual
+    riemann_sum - (f(B_t) - f(0)) over its floor(nT) increments, B_t its last
+    level.  That is the row's ``"statistic"``, the value summarized and
+    written to the CSV, unless ``scale_exponent`` e is given (the clt): then
+    it is n^e (residual / a_r), a_r the scheme's leading error coefficient.
+    extra(grid, values), if given, maps a work item's (rows, floor(nT)+1)
+    matrix of paths to a dict of further per-replication arrays.  An item
+    holds block_rows(m) rows for m = floor(nT) increments, one sampler block,
+    and adds the terminal levels ``b_end`` and the stream ``seed`` of its rows.
     One pool of min(threads, cores) workers runs the items of every grid, or
     this thread if that is 1.  Rows are independent and the items are
     reassembled in replication order, so neither the item size nor the thread
@@ -355,12 +362,20 @@ def _sweep(config: ExperimentConfig, statistic, describe):
     cores = os.cpu_count() or 1
     threads = min(config.threads or cores, cores)
 
+    f, scheme = config.f, config.scheme
+    f0 = float(f(0.0))
+    a_r = float(scheme.error_coefficients[scheme.error_power])
+
     def item(i: int, grid: HurstGrid, lo: int, hi: int) -> dict:
         seeds = replication_seeds(config.master_seed, i * M + lo, i * M + hi)
         values = generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, seeds)
-        out = statistic(grid, values)
-        out["b_end"] = values[:, -1].copy()
-        out["seed"] = seeds
+        b_end = values[:, -1].copy()
+        residual = riemann_sums(values, f, scheme) - (f(b_end) - f0)
+        if scale_exponent is not None:
+            residual = float(grid.n) ** scale_exponent * (residual / a_r)
+        out = {"statistic": residual, "b_end": b_end, "seed": seeds}
+        if extra is not None:
+            out.update(extra(grid, values))
         return out
 
     results, data = [], []
@@ -414,27 +429,31 @@ def _report(
 
 
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Distributional check of the critical-case Gaussian limit.
+    """Distributional check of the critical-case Gaussian limit, at H <= 1/(2r).
 
-    With r the scheme's error power, the statistic is
-    n^{(2rH-1)/2} sum_j f^(r)(mid_j) dB_j^r (the exponent is zero at the
-    critical H = 1/(2r)).  With constant f^(r) = c the limit is an
-    unconditional N(0, c^2 beta_r^2 t); otherwise only the variance is
-    compared, against beta_r^2 times the Monte Carlo mean of
-    integral f^(r)(B_s)^2 ds.  A zero f^(r) is refused before the first path.
+    With r the scheme's error power and a_r its leading error coefficient, the
+    statistic is n^{(2rH-1)/2} (riemann_sum - (f(B_t) - f(0))) / a_r, the
+    rule's own residual (the exponent is zero at the critical H = 1/(2r)).
+    With constant f^(r) = c the limit is an unconditional N(0, c^2 beta_r^2 t);
+    otherwise only the variance is compared, against beta_r^2 times the Monte
+    Carlo mean of integral f^(r)(B_s)^2 ds.  H above 1/(2r), where the residual
+    vanishes (the rate experiment's case), and a zero f^(r) are refused before
+    the first path.
     """
-    if not 0.0 < config.H <= 0.5:
-        raise ValueError(f"H must lie in (0, 1/2], got {config.H}")
+    threshold = float(config.scheme.critical_hurst)
+    if config.H > threshold:
+        raise ValueError(
+            f"clt needs H at or below the {config.scheme.value} threshold {threshold:.6g}, "
+            f"got {config.H}; fbmquad rate tests the residual above it"
+        )
     r, fr, c = _leading_term(config)
-    kappas, beta_sq, limit = _limit_law(config, r, c)
+    kappas = beta_terms(config.H, r=r)
+    beta_sq = beta_squared(*kappas)
     exponent = (2 * r * config.H - 1.0) / 2.0
 
-    def statistic(grid: HurstGrid, values: np.ndarray) -> dict:
-        out = {"statistic": float(grid.n) ** exponent * midpoint_power_sums(values, fr, r)}
-        if c is None:
-            fr_sq = midpoint_power_sums(values, lambda x, out: np.square(fr(x, out), out), 0)
-            out["fr_sq_integral"] = fr_sq / grid.n
-        return out
+    def fr_sq_integral(grid: HurstGrid, values: np.ndarray) -> dict:
+        fr_sq = midpoint_power_sums(values, lambda x, out: np.square(fr(x, out), out), 0)
+        return {"fr_sq_integral": fr_sq / grid.n}
 
     def describe(grid: HurstGrid, data: dict, summary) -> dict:
         stat = data["statistic"]
@@ -442,7 +461,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
             sigma2 = beta_sq * float(np.mean(data["fr_sq_integral"]))
             predicted = ks = None
         else:
-            sigma2 = limit
+            sigma2 = c * c * beta_sq * config.t
             scale = float(grid.n) ** exponent
             predicted = scale * scale * predicted_error_variance(grid, r, c)
             ks = ks_test_normal(stat, sigma2)
@@ -458,7 +477,8 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
             "variance_ratio_error": abs(summary.variance / sigma2 - 1.0),
         }
 
-    results, columns = _sweep(config, statistic, describe)
+    extra = fr_sq_integral if c is None else None
+    results, columns = _sweep(config, describe, scale_exponent=exponent, extra=extra)
     last = results[-1]
     ratio_errors = [entry["variance_ratio_error"] for entry in results]
     M = config.replications
@@ -496,14 +516,14 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.H <= threshold:
         raise ValueError(
             f"rate experiment needs H above the {config.scheme.value} threshold "
-            f"{threshold:.6g}; the probe below handles H <= threshold"
+            f"{threshold:.6g}, got {config.H}; fbmquad clt tests H at or below it"
         )
     r = _leading_term(config)[0]
     if len(config.n_values) < 3:
         raise ValueError(
             f"rate experiment fits a slope and needs at least 3 grids, got {len(config.n_values)}"
         )
-    results, columns = _residual_sweep(config)
+    results, columns = _sweep(config, partial(_residual_moments, config))
     target = 1.0 - 2.0 * r * config.H
     fit = fit_loglog_slope([(e["n"], e["second_moment"]) for e in results])
     # "exact" reads true on every run; perfbench/reference.json pins the rate verdict keys
@@ -513,60 +533,48 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
-    """Raw residual variance at, below and, as a control, above the critical exponent."""
+    """Raw residual variance below and, as a control, above the critical exponent.
+
+    At the critical exponent itself the probe is refused before the first path:
+    there the residual over a_r is the clt's statistic, which ``clt`` tests
+    against its limit law.
+    """
     threshold = float(config.scheme.critical_hurst)
-    regime = "below-threshold" if config.H < threshold else "above-threshold"
+    _leading_term(config)
     if abs(config.H - threshold) <= 1e-12:
-        regime = "critical"
-    r, _, c = _leading_term(config)
-    if regime == "critical":
-        if c is None:
-            raise ValueError(f"the critical divergence probe needs constant f^({r})")
-        a_r = config.scheme.error_coefficients[r]  # the scheme's leading error coefficient
-        plateau = _limit_law(config, r, c)[2] / float(1 / a_r) ** 2  # (a_r c beta_r)^2 t
-    elif len(config.n_values) < 2:
+        raise ValueError(
+            f"the divergence probe does not run at the {config.scheme.value} threshold "
+            f"{threshold:.6g}; fbmquad clt tests the residual's limit law there"
+        )
+    regime = "below-threshold" if config.H < threshold else "above-threshold"
+    if len(config.n_values) < 2:
         raise ValueError(
             f"the {regime} divergence probe compares grids and needs at least 2, "
             f"got {len(config.n_values)}"
         )
-    results, columns = _residual_sweep(config)
+    results, columns = _sweep(config, partial(_residual_moments, config))
     variances = [e["variance"] for e in results]
     ses = [e["variance_se"] for e in results]
-    notes = []
     if regime == "below-threshold":
         steps_ok = all(
             variances[i + 1] >= variances[i] - math.hypot(ses[i], ses[i + 1])
             for i in range(len(variances) - 1)
         )
         verdicts = {"non_vanishing": steps_ok}
-    elif regime == "critical":
-        notes.append(f"predicted residual variance plateau {plateau!r}")
-        verdicts = {"non_vanishing": variances[-1] >= THRESHOLDS["plateau_fraction"] * plateau}
     else:  # control case: the residual must vanish
         verdicts = {"vanishing": variances[0] >= THRESHOLDS["decrease_factor"] * variances[-1]}
     body = {"regime": regime, "results": results}
-    return _report("divergence", config, body, verdicts, notes, columns)
+    return _report("divergence", config, body, verdicts, [], columns)
 
 
-def _residual_sweep(config: ExperimentConfig):
-    """Sweep of the scheme residual, riemann_sum - (f(B_t) - f(0)), across n."""
-    f0 = float(config.f(0.0))
-
-    def statistic(grid: HurstGrid, values: np.ndarray) -> dict:
-        b_end = values[:, -1]
-        residual = riemann_sums(values, config.f, config.scheme) - (config.f(b_end) - f0)
-        return {"statistic": residual}
-
-    def describe(grid: HurstGrid, data: dict, summary) -> dict:
-        residual = data["statistic"]
-        return {
-            "second_moment": float(np.mean(residual**2)),
-            "second_moment_se": float(np.std(residual**2, ddof=1))
-            / math.sqrt(config.replications),
-            "partial_interval_second_moment": partial_interval_second_moment(grid, config.f),
-        }
-
-    return _sweep(config, statistic, describe)
+def _residual_moments(config: ExperimentConfig, grid: HurstGrid, data: dict, summary) -> dict:
+    """A rate or divergence entry's fields: residual second moment and SE, partial interval."""
+    residual = data["statistic"]
+    return {
+        "second_moment": float(np.mean(residual**2)),
+        "second_moment_se": float(np.std(residual**2, ddof=1)) / math.sqrt(config.replications),
+        "partial_interval_second_moment": partial_interval_second_moment(grid, config.f),
+    }
 
 
 def _leading_term(config: ExperimentConfig):
@@ -583,10 +591,3 @@ def _leading_term(config: ExperimentConfig):
             f"(f = {config.f.spec()}), so its error term vanishes and there is nothing to test"
         )
     return r, fr, c
-
-
-def _limit_law(config: ExperimentConfig, r: int, c: float | None):
-    """beta_r's lattice sums, beta_r^2, and the limit variance c^2 beta_r^2 t (None if c is)."""
-    kappas = beta_terms(config.H, r=r)
-    beta_sq = beta_squared(*kappas)
-    return kappas, beta_sq, None if c is None else c * c * beta_sq * config.t

@@ -31,8 +31,8 @@ which the sums stop converging in probability (1/6, 1/6, 1/10, 1/14).
 Every sum is written once, in one row-wise kernel over an (N, m+1) array of
 path levels: per row, sum_j [sum_w weight_w g(B_j + c_w dB_j)] dB_j^r.  With
 g = f' and r = 1 it is a composite rule (``riemann_sums``); with the midpoint
-node mid_j = B_j + dB_j/2 and g = f^(r) it is the error statistic and the error
-terms (``midpoint_power_sums``).  The kernel runs the rows in blocks of whole
+node mid_j = B_j + dB_j/2 and g = f^(r) it is an error term
+(``midpoint_power_sums``).  The kernel runs the rows in blocks of whole
 rows of at most ``_BLOCK`` = 2^15 elements, so that its few block-sized
 buffers (256 KiB each) stay in L2 cache between passes; each row is reduced on
 its own, so the block size moves no output bit.  The experiments hand it work
@@ -416,9 +416,9 @@ def riemann_sums(values: np.ndarray, f: TestFunction, kind: SchemeKind) -> np.nd
 def midpoint_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
     """Row-wise sum_j g(mid_j) dB_j^r, mid_j = B_j + dB_j/2, over an (N, m+1) array of levels.
 
-    With g = f^(r) it gives the error statistic and the error terms of
-    ``error_decomposition``; r = 0 gives n times the midpoint rule for
-    integral g(B_s) ds.  g is called as ``g(x, out=array)``.
+    With g = f^(r) it gives the error terms of ``error_decomposition``; r = 0
+    gives n times the midpoint rule for integral g(B_s) ds.  g is called as
+    ``g(x, out=array)``.
     """
     return _node_sums(values, g, SchemeKind.MIDPOINT, r)
 

@@ -14,6 +14,7 @@ from fbmquad import (
     generate_batch,
     hermite_eval,
     kappa,
+    predicted_error_variance,
     replication_seeds,
     rho,
 )
@@ -92,6 +93,11 @@ class TestKappa:
             kappa(3, "0.1")
         with pytest.raises(ValueError, match="^tol must be a real number, got '1e-9'"):
             kappa(3, 0.1, tol="1e-9")
+        # the order is taken exactly, as every integer setting is
+        with pytest.raises(ValueError, match=r"^m must be an odd integer >= 3, got 3\.0$"):
+            kappa(3.0, 0.1)
+        with pytest.raises(ValueError, match="^m must be an odd integer >= 3, got '3'$"):
+            kappa("3", 0.1)
 
     def test_result_includes_central_term(self):
         # the p = 0 term contributes exactly 2^m
@@ -132,6 +138,11 @@ class TestBeta:
         for r in (1, 4, 13):
             with pytest.raises(ValueError):
                 beta_terms(0.1, r=r)
+        for r in ("5", 5.0):
+            with pytest.raises(ValueError, match=rf"^r must be an odd integer >= 3, got {r!r}$"):
+                beta_terms(0.1, r=r)
+            with pytest.raises(ValueError, match=rf"^r must be an odd integer >= 3, got {r!r}$"):
+                predicted_error_variance(HurstGrid(0.1, 16), r)
 
     def test_stability_under_tolerance_tightening(self):
         assert abs(beta(0.1, 1e-8) - beta(0.1, 1e-12)) < 1e-6

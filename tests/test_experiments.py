@@ -29,6 +29,7 @@ from fbmquad import (
 )
 from fbmquad.experiments import read_config
 from fbmquad.pathgen import generate_batch, replication_seeds
+from fbmquad.schemes import midpoint_power_sums, riemann_sums
 from test_cli import CONFIG_VALUES, run_cli
 
 QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
@@ -228,7 +229,7 @@ class TestConfig:
         assert len(experiments.CONFIG_KEYS) == len(fields)
 
     @pytest.mark.parametrize(
-        "key", ["variance_rel_tol", "ks_alpha", "sigma_gate", "plateau_fraction", "decrease_factor"]
+        "key", ["variance_rel_tol", "ks_alpha", "sigma_gate", "decrease_factor"]
     )
     def test_fixed_thresholds_are_not_config_keys(self, key):
         assert key in experiments.THRESHOLDS
@@ -410,11 +411,12 @@ class TestPartialInterval:
 
 class TestCltExperiment:
     def test_requires_valid_H(self):
+        # above the critical exponent the residual vanishes: the rate experiment's case
         for scheme in SchemeKind:
-            with pytest.raises(ValueError):
-                run_clt_experiment(
-                    ExperimentConfig(H=0.6, n_values=(16,), replications=100, scheme=scheme)
-                )
+            H = math.nextafter(float(scheme.critical_hurst), 1.0)
+            cfg = ExperimentConfig(H=H, n_values=(16,), replications=100, scheme=scheme)
+            with pytest.raises(ValueError, match=r"^clt needs H at or below .*fbmquad rate"):
+                run_clt_experiment(cfg)
 
     def test_midpoint_at_its_critical_exponent(self):
         # the scheme's error power r = 3 sets the constants and the scaling;
@@ -455,16 +457,17 @@ class TestCltExperiment:
         assert "error: f^(5) is identically zero for the simpson scheme (f = " in err
         assert "Traceback" not in err
 
-    def test_brownian_sanity_run(self):
-        # supercritical control: scaled statistic has mean ~ 0 and variance
-        # tracking the exact finite-n prediction (which includes the level term
-        # the asymptotic constant drops)
-        cfg = ExperimentConfig(H=0.5, n_values=(32, 64), replications=2000, master_seed=31)
+    def test_subcritical_sanity_run(self):
+        # below the critical exponent the scaled statistic has mean ~ 0 and
+        # variance tracking the exact finite-n prediction (which includes the
+        # level term the asymptotic constant drops)
+        H = 0.05
+        cfg = ExperimentConfig(H=H, n_values=(32, 64), replications=2000, master_seed=31)
         report = run_clt_experiment(cfg)
         for entry, n in zip(report.payload["results"], cfg.n_values):
-            scale_sq = float(n) ** (10 * 0.5 - 1.0)
+            scale_sq = float(n) ** (10 * H - 1.0)
             predicted = entry["predicted_variance_exact"]
-            grid = HurstGrid(0.5, n)
+            grid = HurstGrid(H, n)
             assert predicted == pytest.approx(scale_sq * predicted_error_variance(grid, 5))
             assert abs(entry["variance"] - predicted) <= 6.0 * entry["variance_se"]
             assert abs(entry["mean"]) <= 4.0 * math.sqrt(entry["variance"] / entry["count"])
@@ -509,6 +512,96 @@ class TestCltExperiment:
         assert len(lines) == 201
 
 
+def _monomial(r: int, c: int = 1) -> Polynomial:
+    """c x^r / r!, whose r-th derivative is the constant c."""
+    return Polynomial([0] * r + [Fraction(c, math.factorial(r))])
+
+
+def _sweep_batches(cfg: ExperimentConfig):
+    """(grid, level array) of each grid of a sweep, drawn from the streams the sweep uses."""
+    M = cfg.replications
+    for i, n in enumerate(cfg.n_values):
+        grid = HurstGrid(cfg.H, n, T=cfg.t)
+        seeds = replication_seeds(cfg.master_seed, i * M, (i + 1) * M)
+        yield grid, generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, seeds)
+
+
+class TestCltStatistic:
+    """The clt's statistic is the rule's own residual: n^e (riemann_sum - (f(B_t) - f(0))) / a_r."""
+
+    def test_csv_statistic_is_the_scaled_residual(self):
+        # f = x^7/5040 has degree r + 2 for Simpson, so the residual's r = 7
+        # term enters, and f^(5) = x^2/2 is not constant
+        f = _monomial(7)
+        cfg = ExperimentConfig(H=0.1, n_values=(16, 64), replications=100, master_seed=12, f=f)
+        report = run_clt_experiment(cfg)
+        e = report.payload["statistic_scale_exponent"]
+        a_r = float(SchemeKind.SIMPSON.error_coefficients[5])
+        expected = []
+        for grid, values in _sweep_batches(cfg):
+            residual = riemann_sums(values, f, SchemeKind.SIMPSON) - (f(values[:, -1]) - f(0.0))
+            expected.append(float(grid.n) ** e * (residual / a_r))
+        rows = report.csv_text().splitlines()[1:]
+        column = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+        assert np.array_equal(column, np.concatenate(expected))
+
+    def test_midpoint_and_trapezoid_measure_their_own_sums(self):
+        # with f = x^5/120 each rule's residual over a_3 is sum f^(3)(mid) dB^3
+        # plus (a_5/a_3) sum dB^5, with a_5/a_3 = 1/80 (midpoint) and 1/40
+        # (trapezoid), so the two statistics differ by sum dB^5 / 80
+        ratios = {SchemeKind.MIDPOINT: Fraction(1, 80), SchemeKind.TRAPEZOID: Fraction(1, 40)}
+        stats = {}
+        for scheme, ratio in ratios.items():
+            coefficients = scheme.error_coefficients
+            assert coefficients[5] / coefficients[3] == ratio
+            cfg = ExperimentConfig(
+                H=1 / 6, n_values=(64,), replications=100, scheme=scheme, f=QUINTIC
+            )
+            report = run_clt_experiment(cfg)
+            assert report.payload["statistic_scale_exponent"] == 0.0
+            stats[scheme] = report.columns["statistic"]
+        assert not np.array_equal(stats[SchemeKind.TRAPEZOID], stats[SchemeKind.MIDPOINT])
+        difference = stats[SchemeKind.TRAPEZOID] - stats[SchemeKind.MIDPOINT]
+        (_, values), = _sweep_batches(cfg)
+        fifth = midpoint_power_sums(values, Polynomial([1]), 5) / 80
+        rms = math.sqrt(float(np.mean(fifth**2)))
+        assert float(np.max(np.abs(difference - fifth))) <= 1e-9 * rms
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_equals_the_leading_power_sum_for_f_of_degree_r(self, scheme):
+        # for f of degree r the residual is exactly a_r c sum_j dB_j^r, so at
+        # the critical exponent the statistic equals c * midpoint_power_sums
+        # up to the rounding of the residual's cancellation
+        r, H = scheme.error_power, float(scheme.critical_hurst)
+        cfg = ExperimentConfig(
+            H=H, n_values=(64, 4096), replications=100, master_seed=12, scheme=scheme,
+            f=_monomial(r, 3),
+        )
+        report = run_clt_experiment(cfg)
+        e = report.payload["statistic_scale_exponent"]
+        stats = np.split(report.columns["statistic"], len(cfg.n_values))
+        for got, (grid, values) in zip(stats, _sweep_batches(cfg)):
+            power_sum = float(grid.n) ** e * 3.0 * midpoint_power_sums(values, Polynomial([1]), r)
+            rms = math.sqrt(float(np.mean(power_sum**2)))
+            assert float(np.max(np.abs(got - power_sum))) <= 1e-9 * rms
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_runs_split_H_at_the_critical_exponent(capsys, batch_calls, scheme):
+    # clt takes H <= H_c and rate H > H_c; diverge refuses H_c itself, where its
+    # residual is the clt's statistic, and each refusal names the run to use
+    f = _monomial(scheme.error_power).spec()
+    critical = float(scheme.critical_hurst)
+    for command, H, other in (
+        ("diverge", critical, "fbmquad clt"),
+        ("clt", math.nextafter(critical, 1.0), "fbmquad rate"),
+    ):
+        argv = ("--H", repr(H), "--n", "16", "--n", "32", "--M", "100", "--f", f)
+        code, out, err = run_cli(capsys, command, *argv, "--scheme", scheme.value)
+        assert (code, out, batch_calls) == (2, "", [])
+        assert other in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 @pytest.mark.parametrize("runner", [run_clt_experiment, run_rate_experiment, run_divergence_probe])
 def test_exactly_integrated_f_is_refused_before_any_path(batch_calls, runner, scheme):
@@ -525,10 +618,10 @@ def test_exactly_integrated_f_is_refused_before_any_path(batch_calls, runner, sc
 
 class TestRateExperiment:
     def test_rejects_at_or_below_threshold(self):
-        with pytest.raises(ValueError):
-            run_rate_experiment(ExperimentConfig(H=0.1, n_values=(16, 32, 64), replications=100))
-        with pytest.raises(ValueError):
-            run_rate_experiment(ExperimentConfig(H=0.05, n_values=(16, 32, 64), replications=100))
+        # the clt takes H at or below the threshold, so the refusal names it
+        for H in (0.1, 0.05):
+            with pytest.raises(ValueError, match="fbmquad clt tests H at or below it"):
+                run_rate_experiment(ExperimentConfig(H=H, n_values=(16, 32, 64), replications=100))
 
     def test_slope_recovery_small_scale(self):
         cfg = ExperimentConfig(
@@ -556,49 +649,6 @@ class TestDivergenceProbe:
         report = run_divergence_probe(cfg)
         assert report.payload["regime"] == "below-threshold"
         assert report.payload["verdicts"]["non_vanishing"]
-
-    def test_critical_plateau(self):
-        cfg = ExperimentConfig(H=0.1, n_values=(128, 256), replications=300, master_seed=10)
-        report = run_divergence_probe(cfg)
-        assert report.payload["regime"] == "critical"
-        plateau_note = report.payload["notes"][0]
-        assert "plateau" in plateau_note
-        assert report.payload["verdicts"]["non_vanishing"]
-
-    def test_critical_nonconstant_fr_fails_before_any_path(self, batch_calls):
-        # f = x^6 has a linear f^(5), so no plateau is predicted
-        f = Polynomial([0] * 6 + [1])
-        cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=100, f=f)
-        with pytest.raises(ValueError, match=r"needs constant f\^\(5\)"):
-            run_divergence_probe(cfg)
-        assert batch_calls == []
-
-    def test_plateau_level_from_leading_coefficient(self):
-        # the critical probe's plateau is (a_r c beta_r)^2 t for constant
-        # f^(r) = c, r the scheme's error power; it accepts one grid, which it
-        # compares with the plateau
-        for scheme, f, a_r in (
-            (SchemeKind.MIDPOINT, Polynomial([0, 0, 0, 1]), Fraction(-1, 24)),
-            (SchemeKind.SIMPSON, QUINTIC, Fraction(1, 2880)),
-            (SchemeKind.MILNE, Polynomial([0] * 7 + [1]), Fraction(1, 1935360)),
-        ):
-            r = scheme.error_power
-            H = float(scheme.critical_hurst)
-            cfg = ExperimentConfig(
-                H=H, n_values=(16,), replications=100, t=0.5, scheme=scheme, f=f
-            )
-            c = float(f.derivative(r).coeffs[0])
-            beta_sq = beta_squared(*beta_terms(H, r=r))
-            expected = c * c * beta_sq * 0.5 * float(a_r) ** 2
-            payload = run_divergence_probe(cfg).payload
-            assert payload["regime"] == "critical"
-            note, = payload["notes"]
-            assert note.startswith("predicted residual variance plateau ")
-            assert float(note.rsplit(" ", 1)[1]) == pytest.approx(expected, rel=1e-14)
-        with pytest.raises(ValueError, match=r"f\^\(3\)"):
-            run_divergence_probe(
-                ExperimentConfig(H=1 / 6, n_values=(16,), scheme=SchemeKind.TRAPEZOID)
-            )
 
     @pytest.mark.parametrize("H, regime", [(0.05, "below-threshold"), (0.2, "above-threshold")])
     def test_one_grid_off_threshold_fails_before_any_path(self, capsys, batch_calls, H, regime):
