@@ -8,7 +8,10 @@ cached derivatives and in-place quadrature kernels.  ``error_statistic``
 keeps Simpson's single-path error statistic as the reference for the batch
 kernel, and ``hermite_coefficients`` the monomial coefficients of H_q, by the
 recurrence, as the reference for the closed-form chaos expansion.
+``acceptance_run`` resolves a config file of ``configs/`` as the CLI does.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -25,10 +28,24 @@ from fbmquad import (
     replication_seeds,
     rho,
 )
+from fbmquad.cli import _build_parser, _config_from_args
 from fbmquad.schemes import cut_levels, midpoint_power_sums
+
+#: The acceptance runs of criteria 4-6, one ``key = value`` file each.
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 #: Sum families supported by :func:`abs_power_sum`.
 SUM_KINDS = ("level", "midpoint", "increment")
+
+
+def acceptance_run(stem: str, *flags: str):
+    """Runner and config of ``configs/<stem>.ini``, as ``fbmquad <command> --config`` builds them.
+
+    The stem's prefix up to its first ``-`` names the command; ``flags`` override the file.
+    """
+    path = CONFIG_DIR / f"{stem}.ini"
+    args = _build_parser().parse_args([stem.split("-", 1)[0], "--config", str(path), *flags])
+    return args.runner, _config_from_args(args)
 
 
 def increment_cov(grid: HurstGrid, j: int, k: int) -> float:

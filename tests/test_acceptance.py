@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Scales and tolerances are pinned from the package contract:
+Scales and tolerances are pinned from the package contract.  Criteria 4-6
+run the config files of ``configs/``, each through the CLI's own parser, so a
+test runs exactly what ``fbmquad <command> --config FILE`` runs:
 
 1. exact identities (Hermite expansion, quadrature exactness, Simpson
    telescoping decomposition), deterministic, < 10 s;
@@ -8,38 +10,32 @@ Scales and tolerances are pinned from the package contract:
    plus Cholesky-vs-circulant marginal equivalence, < 2 min;
 3. limit constants: closed forms at H = 1/2, truncation stability, tail
    bounds, < 5 s;
-4. critical-case distributional experiment at H = 0.1, f = x^5/120, t = 1,
-   M = 2000, n in {2^10, 2^12, 2^14} (trend + tolerance, KS, correlation,
-   mean gates) — the law is asymptotic, so the shipped master seed documents
-   one reproducible passing configuration;
-5. decay rates: Simpson at H = 0.2 (slope -1 +- 0.35), Milne at H = 0.15
-   (slope 1 - 14H +- 0.4), M = 500;
-6. divergence probe: growth at H = 0.05, >= 4x decay at H = 0.2;
+4. critical-case distributional experiment, ``configs/clt-simpson-H0.1.ini``
+   (trend + tolerance, KS, correlation, mean gates) — the law is asymptotic,
+   so the shipped master seed documents one reproducible passing
+   configuration;
+5. decay rates, ``configs/rate-simpson-H0.2.ini`` and
+   ``configs/rate-milne-H0.15.ini`` (slope 1 - 2rH within the file's
+   ``slope_tol``);
+6. divergence probe, ``configs/diverge-simpson-H0.05.ini`` (growth) and
+   ``configs/diverge-simpson-H0.2.ini`` (>= 4x decay);
 7. byte-identical reports across thread counts.
 """
 
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 from scipy.stats import ks_2samp
 
 import fbmquad as fq
-from fbmquad import (
-    DEFAULT_MASTER_SEED,
-    ExperimentConfig,
-    GeneratorKind,
-    HurstGrid,
-    Polynomial,
-    SchemeKind,
-)
+from fbmquad import DEFAULT_MASTER_SEED, ExperimentConfig, GeneratorKind, HurstGrid
 from fbmquad.experiments import exact_identity_checks
+from oracle import acceptance_run
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
 CHOL = GeneratorKind.CHOLESKY_EXACT
-QUINTIC = Polynomial([0, 0, 0, 0, 0, Fraction(1, 120)])
 
 
 def record(number: int, name: str, ok: bool, detail: str) -> None:
@@ -154,16 +150,10 @@ def test_criterion_3_constants():
 
 def test_criterion_4_critical_case_clt():
     started = time.perf_counter()
-    config = ExperimentConfig(
-        H=0.1,
-        n_values=(2**10, 2**12, 2**14),
-        replications=2000,
-        t=1.0,
-        master_seed=DEFAULT_MASTER_SEED,
-        f=QUINTIC,
-    )
-    report = fq.run_clt_experiment(config)
+    runner, config = acceptance_run("clt-simpson-H0.1")
+    report = runner(config)
     v = report.payload["verdicts"]
+    corr_gate = report.payload["thresholds"]["sigma_gate"] / math.sqrt(config.replications)
     last = report.payload["results"][-1]
     errors = [r["variance_ratio_error"] for r in report.payload["results"]]
     elapsed = time.perf_counter() - started
@@ -181,7 +171,7 @@ def test_criterion_4_critical_case_clt():
         ok,
         f"|Var/beta^2-1|={[f'{e:.4f}' for e in errors]} (monotone + final<=max(0.15,3SE)), "
         f"KS p={last['ks_p_value']:.3f} (>0.01), |corr|={abs(last['corr_with_level']):.4f} "
-        f"(<{4/math.sqrt(2000):.4f}), mean gate={v['mean_final']}, "
+        f"(<{corr_gate:.4f}), mean gate={v['mean_final']}, "
         f"runtime={elapsed:.0f}s (<900s)",
     )
 
@@ -193,25 +183,10 @@ def test_criterion_4_critical_case_clt():
 
 def test_criterion_5_rate_law():
     started = time.perf_counter()
-    simpson_cfg = ExperimentConfig(
-        H=0.2,
-        n_values=tuple(2**k for k in range(8, 14)),
-        replications=500,
-        master_seed=DEFAULT_MASTER_SEED,
-        f=QUINTIC,
-        slope_tol=0.35,
-    )
-    simpson = fq.run_rate_experiment(simpson_cfg)
-    milne_cfg = ExperimentConfig(
-        H=0.15,
-        n_values=tuple(2**k for k in range(8, 14)),
-        replications=500,
-        master_seed=DEFAULT_MASTER_SEED,
-        scheme=SchemeKind.MILNE,
-        f=Polynomial([0] * 7 + [Fraction(1, 5040)]),
-        slope_tol=0.4,
-    )
-    milne = fq.run_rate_experiment(milne_cfg)
+    runner, simpson_cfg = acceptance_run("rate-simpson-H0.2")
+    simpson = runner(simpson_cfg)
+    runner, milne_cfg = acceptance_run("rate-milne-H0.15")
+    milne = runner(milne_cfg)
     elapsed = time.perf_counter() - started
     s_fit = simpson.payload["fit"]
     m_fit = milne.payload["fit"]
@@ -220,8 +195,9 @@ def test_criterion_5_rate_law():
         5,
         "rate law",
         ok,
-        f"simpson slope={s_fit['slope']:.3f} (target -1 +-0.35), "
-        f"milne slope={m_fit['slope']:.3f} (target {m_fit['target']:.2f} +-0.4), "
+        f"simpson slope={s_fit['slope']:.3f} "
+        f"(target {s_fit['target']:g} +-{simpson_cfg.slope_tol}), "
+        f"milne slope={m_fit['slope']:.3f} (target {m_fit['target']:.2f} +-{milne_cfg.slope_tol}), "
         f"runtime={elapsed:.0f}s (<600s)",
     )
 
@@ -233,22 +209,10 @@ def test_criterion_5_rate_law():
 
 def test_criterion_6_divergence_probe():
     started = time.perf_counter()
-    grow_cfg = ExperimentConfig(
-        H=0.05,
-        n_values=(2**8, 2**10, 2**12),
-        replications=500,
-        master_seed=DEFAULT_MASTER_SEED,
-        f=QUINTIC,
-    )
-    grow = fq.run_divergence_probe(grow_cfg)
-    control_cfg = ExperimentConfig(
-        H=0.2,
-        n_values=(2**8, 2**10, 2**12),
-        replications=500,
-        master_seed=DEFAULT_MASTER_SEED,
-        f=QUINTIC,
-    )
-    control = fq.run_divergence_probe(control_cfg)
+    runner, grow_cfg = acceptance_run("diverge-simpson-H0.05")
+    grow = runner(grow_cfg)
+    runner, control_cfg = acceptance_run("diverge-simpson-H0.2")
+    control = runner(control_cfg)
     grow_vars = [r["variance"] for r in grow.payload["results"]]
     control_vars = [r["variance"] for r in control.payload["results"]]
     elapsed = time.perf_counter() - started
@@ -257,8 +221,8 @@ def test_criterion_6_divergence_probe():
         6,
         "divergence probe",
         ok,
-        f"H=0.05 variances={[f'{x:.3e}' for x in grow_vars]} (non-decreasing within 1 SE), "
-        f"H=0.2 decay={control_vars[0] / control_vars[-1]:.1f}x (>=4x), "
+        f"H={grow_cfg.H} variances={[f'{x:.3e}' for x in grow_vars]} (non-decreasing within 1 SE), "
+        f"H={control_cfg.H} decay={control_vars[0] / control_vars[-1]:.1f}x (>=4x), "
         f"runtime={elapsed:.0f}s (<600s)",
     )
 

@@ -10,7 +10,9 @@ value names and verdict keys of every experiment report with those stored in
 ``perfbench/reference.json``, so each experiment operation of its workloads is
 run here on small grids and its names are checked against the stored ones.
 The small-paths operations, which reach the kernels through the single-path
-functions, are run at their tiny size and must pass every gate.
+functions, are run at their tiny size and must pass every gate.  The
+clt-critical and rate-sweep workloads write out the configs of acceptance
+criteria 4-6, so those must equal the files in ``configs/``.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ import pytest
 
 import fbmquad
 from fbmquad import GeneratorKind, HurstGrid, Polynomial, generate
+from oracle import CONFIG_DIR, acceptance_run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -119,3 +122,27 @@ def test_small_paths_operations_pass_their_gates():
     ops, _ = WORKLOADS.BUILDERS["small-paths"](fbmquad, 12, 1, True)
     for name, op in ops:
         assert all(op()["gates"].values()), name
+
+
+def test_benchmark_configs_equal_the_config_files():
+    # the files in the order the clt-critical and rate-sweep builders make
+    # their configs, read as the benchmark runs them, at one thread
+    stems = (
+        "clt-simpson-H0.1",
+        "rate-simpson-H0.2",
+        "rate-milne-H0.15",
+        "diverge-simpson-H0.05",
+        "diverge-simpson-H0.2",
+    )
+    recorded = []
+
+    def recording_config(**kwargs):
+        recorded.append(fbmquad.ExperimentConfig(**kwargs))
+        return recorded[-1]
+
+    recording = types.SimpleNamespace(**vars(fbmquad))
+    recording.ExperimentConfig = recording_config
+    for workload in ("clt-critical", "rate-sweep"):
+        WORKLOADS.BUILDERS[workload](recording, 12, 1, False)
+    assert recorded == [acceptance_run(stem, "--threads", "1")[1] for stem in stems]
+    assert sorted(path.name for path in CONFIG_DIR.iterdir()) == sorted(f"{s}.ini" for s in stems)

@@ -1,9 +1,10 @@
-"""``scripts/calibrate.py``, which pytest does not collect: every config passes its preconditions.
+"""``scripts/calibrate.py``, which pytest does not collect, runs every file of ``configs/``.
 
-The script runs for minutes, so this test stops each config at its first
-path: ``experiments.generate_batch`` raises a sentinel.  A config that reaches
+The script runs for minutes, so this test stops each file's run at its first
+path: ``experiments.generate_batch`` raises a sentinel.  A file that reaches
 it passed every check a run makes before sampling, so a change to a
-precondition cannot silently break the script.
+precondition, or a config file the script does not run, cannot silently
+break the script.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fbmquad import experiments
+from oracle import CONFIG_DIR
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "calibrate.py"
 
@@ -30,13 +32,13 @@ def _load_script():
 CALIBRATE = _load_script()
 
 
-@pytest.mark.parametrize("label", list(CALIBRATE.CONFIGS))
-def test_config_reaches_its_first_path(label, monkeypatch):
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda path: path.stem)
+def test_config_reaches_its_first_path(path, monkeypatch):
     def first_path(*args):
         raise FirstPath
 
     monkeypatch.setattr(experiments, "generate_batch", first_path)
-    runner, settings = CALIBRATE.CONFIGS[label]
+    assert path in CALIBRATE.CONFIGS
     assert CALIBRATE.SEEDS[0] == 100
     with pytest.raises(FirstPath):
-        CALIBRATE.pass_counts(runner, settings)
+        CALIBRATE.pass_counts(path)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from fbmquad import ExperimentConfig, SchemeKind, experiments, run_rate_experiment
 from fbmquad.cli import _build_parser, _config_from_args, main
 from fbmquad.constants import DEFAULT_TOL
-from fbmquad.experiments import CONFIG_KEYS, read_config
+from fbmquad.experiments import CONFIG_KEYS
+from oracle import CONFIG_DIR, acceptance_run
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -447,7 +448,9 @@ def _readme_block(lang: str, after: str) -> str:
 
 
 class TestReadmeExamples:
-    def test_cli_lines_parse_and_configure(self):
+    def test_cli_lines_parse_and_configure(self, monkeypatch):
+        # README's paths are relative to the repository root
+        monkeypatch.chdir(README.parent)
         lines = [line for line in _readme_block("bash", "## CLI").splitlines() if line]
         assert len(lines) == 8 and all(line.startswith("fbmquad ") for line in lines)
         for line in lines:
@@ -455,8 +458,8 @@ class TestReadmeExamples:
             if args.command in ("clt", "rate", "diverge"):
                 assert isinstance(_config_from_args(args), ExperimentConfig), line
 
-    def test_config_file_example_builds_a_config(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(_readme_block("ini", "### Config files"), encoding="utf-8")
-        config = ExperimentConfig.from_mapping(read_config(path))
-        assert (config.H, config.n_values, config.replications) == (0.1, (1024, 4096, 16384), 2000)
+    def test_config_file_example_builds_a_config(self):
+        # the block is criterion 4's config file, byte for byte
+        block = _readme_block("ini", "### Config files")
+        assert block == (CONFIG_DIR / "clt-simpson-H0.1.ini").read_text(encoding="utf-8")
+        assert isinstance(acceptance_run("clt-simpson-H0.1")[1], ExperimentConfig)
