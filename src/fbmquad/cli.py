@@ -24,6 +24,7 @@ from .covariance import HurstGrid
 from .experiments import (
     CONFIG_KEYS,
     DEFAULT_MASTER_SEED,
+    _DEFAULT_F,
     ExperimentConfig,
     canonical_json,
     csv_text,
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None, help="upper time (default T)")
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--scheme", choices=[s.value for s in SchemeKind], default="simpson")
-    p.add_argument("--f", default="0,0,0,0,0,1/120", help=_FLAG_HELP["f"])
+    p.add_argument("--f", default=_DEFAULT_F.spec(), help=_FLAG_HELP["f"])
     p.set_defaults(handler=_cmd_integrate)
 
     for name, runner, help_text in (

@@ -195,10 +195,14 @@ class ExperimentConfig:
 
 
 def read_config(path) -> dict[str, str]:
-    """Raw ``key = value`` pairs of the config file at ``path`` (``#`` starts a comment)."""
+    """Raw ``key = value`` pairs of the config file at ``path`` (``#`` starts a comment).
+
+    A key given on two lines raises ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -206,7 +210,11 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"config key {key!r} is set on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 

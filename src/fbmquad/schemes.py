@@ -354,41 +354,33 @@ def _node_sums(values: np.ndarray, g, kind: SchemeKind, r: int) -> np.ndarray:
     the first node is evaluated into the accumulator, keeping a -0.0 that 0 + g
     clears, as ``np.add.reduce`` sums a row of -0.0 to +0.0.  dB^r is formed
     by in-place square-and-multiply, as ``db**r`` goes through libm ``pow`` at
-    many times the cost.  A constant g is not evaluated: its node sum is one
-    float, formed in the same order, and a sum of 1.0 leaves dB^r as it is.
+    many times the cost.
     """
     shape, blocks = _row_blocks(values)
-    c = constant_value(g)
-    if c is not None:
-        total = 0.0
-        for _, weight in kind._nodes:
-            total += c * weight
-    db, acc = np.empty(shape), np.empty(shape)
-    node = np.empty(shape) if c is None else None
-    value = np.empty(shape) if c is None and len(kind._nodes) > 1 else None
+    db, acc, node = np.empty(shape), np.empty(shape), np.empty(shape)
+    value = np.empty(shape) if len(kind._nodes) > 1 else None
     sums = np.empty(len(values))
     for block in blocks:
         levels = values[block]
         k = len(levels)
         left = levels[:, :-1]
         d = np.subtract(levels[:, 1:], left, out=db[:k])
-        a = power = acc[:k]
-        if c is None:
-            x = power = node[:k]  # free again once every node is evaluated
-            for i, (offset, weight) in enumerate(kind._nodes):
-                if offset == 0.0:
-                    at = left
-                elif offset == 1.0:
-                    at = np.add(left, d, out=x)
-                else:
-                    at = np.multiply(d, offset, out=x)
-                    at += left
-                target = a if i == 0 else value[:k]
-                g(at, out=target)
-                if weight != 1.0:
-                    target *= weight
-                if i:
-                    a += target
+        a = acc[:k]
+        x = power = node[:k]  # free again once every node is evaluated
+        for i, (offset, weight) in enumerate(kind._nodes):
+            if offset == 0.0:
+                at = left
+            elif offset == 1.0:
+                at = np.add(left, d, out=x)
+            else:
+                at = np.multiply(d, offset, out=x)
+                at += left
+            target = a if i == 0 else value[:k]
+            g(at, out=target)
+            if weight != 1.0:
+                target *= weight
+            if i:
+                a += target
         if r == 1:
             power = d
         elif r > 1:
@@ -397,13 +389,8 @@ def _node_sums(values: np.ndarray, g, kind: SchemeKind, r: int) -> np.ndarray:
                 power *= power
                 if bit == "1":
                     power *= d
-        if c is None:
-            if r:
-                a *= power
-        elif r == 0:
-            a.fill(total)
-        else:
-            a = power if total == 1.0 else np.multiply(power, total, out=a)
+        if r:
+            a *= power
         sums[block] = np.add.reduce(a, axis=1)
     return sums
 

@@ -7,12 +7,14 @@ moment summaries whose variance standard error uses the fourth central moment
 (the quintic-increment statistics are heavy-tailed, so chi-square intervals
 would be wrong).
 
-The normal CDF is ``_ndtr``, a scalar port of the Cephes ``ndtr`` (S. L.
+The normal CDF is ``_ndtr``, an array port of the Cephes ``ndtr`` (S. L.
 Moshier) that ``scipy.special.ndtr`` runs, so the runtime needs numpy alone
-and every KS statistic keeps scipy's bits.  It keeps Cephes' coefficient
-tables, evaluation order, branches and libm ``exp`` (``math.exp``); only
-the branches of ``erf`` and ``erfc`` that ``ndtr`` never reaches (|x| > 1
-and x < 0 respectively) are left out.
+and every KS statistic keeps scipy's bits.  Each branch of ``ndtr``, ``erf``
+and ``erfc`` runs on the subset of elements that reaches it, with Cephes'
+coefficient tables and evaluation order (``(e * P) / Q``, not ``e * (P / Q)``)
+and libm ``exp`` (``math.exp``, which ``np.exp`` does not match bit for bit)
+on the erfc subset alone; the branches that ``ndtr`` never reaches (erf at
+|x| > 1, erfc at x < 0) are left out.
 """
 
 from __future__ import annotations
@@ -84,51 +86,51 @@ _MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = 7.07106781186547524401e-1
 
 
-def _polevl(x: float, coef: tuple) -> float:
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x: float, coef: tuple) -> float:
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
     ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _erf(x: float) -> float:
-    """erf for |x| <= 1."""
-    if x < 0.0:
-        return -_erf(-x)
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+def _ndtr(a) -> np.ndarray:
+    """Standard normal CDF of an array, elementwise bit-equal to ``scipy.special.ndtr`` (Cephes).
 
-
-def _erfc(x: float) -> float:
-    """erfc for x >= 0; 0 once exp(-x^2) underflows."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        return z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
-    return z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF, bit-equal to ``scipy.special.ndtr`` (Cephes)."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0.0 else y
+    A scalar a gives a 0-d array; nan gives nan.
+    """
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    out = np.full(x.shape, np.nan)
+    # |x| < 1/sqrt 2: 0.5 + 0.5 erf(x), erf(x) = x T(x^2) / U(x^2); Cephes'
+    # erf(-x) = -erf(x) is exact, so the sign needs no branch
+    inner = z < _SQRT1_2
+    w = x[inner]
+    w2 = w * w
+    out[inner] = 0.5 + 0.5 * (w * _polevl(w2, _ERF_T) / _p1evl(w2, _ERF_U))
+    # else 0.5 erfc(|x|), reflected for x > 0; below |x| = 1 erfc is 1 - erf
+    outer = z >= _SQRT1_2
+    v = z[outer]
+    y = np.zeros_like(v)
+    near = v < 1.0
+    w = v[near]
+    w2 = w * w
+    y[near] = 1.0 - w * _polevl(w2, _ERF_T) / _p1evl(w2, _ERF_U)
+    # from 1 on, exp(-x^2) P(x) / Q(x) with libm exp, 0 once exp underflows
+    for lo, hi, num, den in ((1.0, 8.0, _ERFC_P, _ERFC_Q), (8.0, np.inf, _ERFC_R, _ERFC_S)):
+        part = (v >= lo) & (v < hi) & (v * v <= _MAXLOG)
+        w = v[part]
+        e = np.fromiter(map(math.exp, (-w * w).tolist()), dtype=np.float64, count=len(w))
+        y[part] = e * _polevl(w, num) / _p1evl(w, den)
+    y *= 0.5
+    out[outer] = np.where(x[outer] > 0.0, 1.0 - y, y)
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ def ks_test_normal(samples, sigma2: float) -> KsResult:
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     z = np.sort(x) / math.sqrt(sigma2)
-    cdf = np.fromiter(map(_ndtr, z.tolist()), dtype=np.float64, count=count)
+    cdf = _ndtr(z)
     steps = np.arange(1, count + 1) / count
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / count)))

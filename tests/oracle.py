@@ -166,6 +166,24 @@ def pow_midpoint_terms(values: np.ndarray, g, r: int) -> np.ndarray:
     return g(mid) * db**r
 
 
+def per_step_power_sums(values: np.ndarray, g, r: int) -> np.ndarray:
+    """Row-wise sum_j g(mid_j) dB_j^r with fresh arrays for the node, g(mid) and every product.
+
+    dB^r is formed in the kernel's square-and-multiply order, from dB and over
+    the bits of r after the leading one, not through ``pow``.
+    """
+    db = np.diff(values, axis=1)
+    terms = g(values[:, :-1] + 0.5 * db)
+    if r:
+        power = db
+        for bit in bin(r)[3:]:
+            power = power * power
+            if bit == "1":
+                power = power * db
+        terms = terms * power
+    return np.sum(terms, axis=1)
+
+
 def error_statistic(path: FbmPath, f: TestFunction, t: float) -> float:
     """sum_j f^(5)(midpoint_j) dB_j^5, the statistic driving critical fluctuations."""
     return float(midpoint_power_sums(cut_levels(path, t), f.derivative(5), 5)[0])

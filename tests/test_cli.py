@@ -230,6 +230,14 @@ class TestExperimentCommands:
         assert payload["config"]["M"] == 120
         assert payload["config"]["H"] == 0.05
 
+    def test_repeated_config_key_is_config_error(self, capsys, tmp_path):
+        # the file's second n must not silently replace its first
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("H = 0.05\nn = 64,128\nM = 100\n# more grids\nn = 256\n")
+        code, out, err = run_cli(capsys, "diverge", "--config", str(cfg), "--n", "16")
+        assert (code, out) == (2, "")
+        assert "config key 'n' is set on lines 2 and 5" in err
+
     def test_rate_csv_output(self, capsys, tmp_path):
         out_file = tmp_path / "rows.csv"
         code, out, _ = run_cli(

@@ -42,6 +42,7 @@ from oracle import (
     increments,
     kfold_derivative,
     midpoints,
+    per_step_power_sums,
     per_step_riemann_sums,
     per_step_value,
     pow_midpoint_terms,
@@ -505,8 +506,9 @@ class TestErrorStatistic:
 
 
 def test_constant_statistic_peak_memory():
-    # a constant g needs the increments and one array of powers: 2x the levels;
-    # midpoints and g(mid) would add two more
+    # a constant g is evaluated like any other: three block-sized buffers
+    # (increments, accumulator, node) of 2^15 elements, far below the levels;
+    # one full-size array of increments, powers or midpoints would add 1x each
     grid = HurstGrid(0.1, 2**14)
     values = generate_batch(grid, CIRC, replication_seeds(12, 0, 64))
     tracemalloc.start()
@@ -618,6 +620,18 @@ QUARTER_COSINES = st.builds(
     st.floats(0.1, 4.0),
     st.sampled_from(range(4)),
 )
+#: Cosines constant in x: amplitude or frequency +-0.0
+FLAT_COSINES = st.builds(
+    ScaledCosine,
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-4.0, 4.0),
+    st.sampled_from(range(4)),
+) | st.builds(
+    ScaledCosine,
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from(range(4)),
+)
 LEVELS = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
 GRIDS_2D = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40), elements=LEVELS
@@ -662,6 +676,18 @@ class TestInPlaceKernels:
     )
     def test_riemann_sums_equal_per_step_form(self, values, f, scheme):
         assert_same_bits(riemann_sums(values, f, scheme), per_step_riemann_sums(values, f, scheme))
+
+    @given(
+        values=GRIDS_2D,
+        f=ALL_POLYNOMIALS | QUARTER_COSINES | FLAT_COSINES,
+        k=st.integers(0, 11),
+        r=st.integers(0, 9),
+    )
+    def test_power_sums_equal_per_step_form(self, values, f, k, r):
+        # constant g too: zero and constant polynomials, cosines of zero
+        # amplitude or frequency, whose values carry the sign of a zero
+        g = f.derivative(k)
+        assert_same_bits(midpoint_power_sums(values, g, r), per_step_power_sums(values, g, r))
 
     # the trimmed Horner skips interior zero additions but must keep the final
     # + c_0: x -> x maps -0.0 to +0.0 in the per-step form
