@@ -60,6 +60,21 @@ ERROR_POWERS = (3, 5, 7, 9)
 F = Fraction
 
 
+def _error_law(offsets, weights) -> tuple[dict[int, Fraction], int]:
+    """Exact a_r, r in ERROR_POWERS, of a rule, and its error power: the first r with a_r != 0.
+
+    A rule exact past degree 8 has no such r in ERROR_POWERS and raises ValueError.
+    """
+    coefficients = {}
+    for r in ERROR_POWERS:
+        moment = sum(w * (c - F(1, 2)) ** (r - 1) for c, w in zip(offsets, weights))
+        coefficients[r] = moment / math.factorial(r - 1) - F(2) ** (1 - r) / math.factorial(r)
+    power = next((r for r, a in coefficients.items() if a), None)
+    if power is None:
+        raise ValueError(f"the rule is exact past degree 8: a_r = 0 for every r in {ERROR_POWERS}")
+    return coefficients, power
+
+
 class SchemeKind(Enum):
     """The scheme table: each member holds its nodes and weights, and derives its error law once."""
 
@@ -76,12 +91,7 @@ class SchemeKind(Enum):
         # (offset, weight) as floats, the node table of riemann_sums
         member._nodes = tuple((float(c), float(w)) for c, w in zip(offsets, weights))
 
-        def coefficient(r: int) -> Fraction:
-            moment = sum(w * (c - F(1, 2)) ** (r - 1) for c, w in zip(offsets, weights))
-            return moment / math.factorial(r - 1) - F(2) ** (1 - r) / math.factorial(r)
-
-        member._coefficients = {r: coefficient(r) for r in ERROR_POWERS}
-        member._power = next(r for r, a in member._coefficients.items() if a)
+        member._coefficients, member._power = _error_law(offsets, weights)
         # (r, float(a_r)) from the error power on, the terms of error_decomposition
         member._error_terms = tuple(
             (r, float(a)) for r, a in member._coefficients.items() if r >= member._power

@@ -636,6 +636,29 @@ class TestRateExperiment:
         assert fit["target"] == pytest.approx(1.0 - 10 * 0.25)
         assert abs(fit["slope"] - fit["target"]) <= 0.5
 
+    def test_off_grid_t(self):
+        # t = 0.7 is on none of the grids: each row runs floor(0.7 n) = 0.6875 n
+        # increments and its B_t column is the last level, at 0.6875; the
+        # leftover interval (0.6875, 0.7] is the same on every grid, and so is
+        # the second moment the report gives for it
+        cfg = ExperimentConfig(H=0.25, n_values=(16, 32, 64), replications=100, t=0.7)
+        report = run_rate_experiment(cfg)
+        f, scheme, f0 = cfg.f, cfg.scheme, float(cfg.f(0.0))
+        header, *rows = report.csv_text().splitlines()
+        assert header == "replication,seed,n,B_t,statistic"
+        assert len(rows) == 300
+        for row in rows:
+            _, seed, n, b_t, statistic = row.split(",")
+            grid = HurstGrid(0.25, int(n), T=0.7)
+            levels = generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, [int(seed)])
+            assert float(b_t) == levels[0, -1]
+            residual = riemann_sums(levels, f, scheme) - (f(levels[:, -1]) - f0)
+            assert float(statistic) == residual[0]
+        moments = [e["partial_interval_second_moment"] for e in report.payload["results"]]
+        assert moments == [0.009097633243102001] * 3
+        on_grid = run_rate_experiment(dataclasses.replace(cfg, t=1.0)).payload["results"]
+        assert [e["partial_interval_second_moment"] for e in on_grid] == [0.0] * 3
+
     def test_too_few_grids_fail_before_any_path(self, batch_calls):
         cfg = ExperimentConfig(H=0.25, n_values=(16, 32), replications=100)
         with pytest.raises(ValueError, match="at least 3 grids"):

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,6 +32,7 @@ from fbmquad import schemes
 from fbmquad.covariance import floor_index
 from fbmquad.schemes import (
     ERROR_POWERS,
+    _error_law,
     constant_value,
     cut_levels,
     midpoint_power_sums,
@@ -49,6 +50,11 @@ from oracle import (
 )
 
 CIRC = GeneratorKind.CIRCULANT_EMBEDDING
+
+#: Distances u of symmetric node classes 1/2 +- u from the middle, one to four of them.
+NODE_CLASSES = st.lists(
+    st.fractions(0, Fraction(1, 2), max_denominator=64), min_size=1, max_size=4, unique=True
+)
 
 # ---------------------------------------------------------------------------
 # scheme table
@@ -127,6 +133,56 @@ class TestSchemeTable:
         a = SchemeKind.SIMPSON.error_coefficients
         a[5] = Fraction(0)
         assert SchemeKind.SIMPSON.error_coefficients[5] == Fraction(1, 2880)
+
+    def test_error_law_of_seven_point_newton_cotes(self):
+        # exact to degree 8, so r = 9 and H_c = 1/18
+        offsets = [Fraction(k, 6) for k in range(7)]
+        weights = [Fraction(w, 840) for w in (41, 216, 27, 272, 27, 216, 41)]
+        coefficients, r = _error_law(offsets, weights)
+        assert (r, Fraction(1, 2 * r)) == (9, Fraction(1, 18))
+        assert coefficients == {3: 0, 5: 0, 7: 0, 9: Fraction(1, 1567641600)}
+
+    def test_rule_exact_past_degree_8_raises(self):
+        # 9-point Newton-Cotes is exact to degree 9: its error power 11 is past ERROR_POWERS
+        offsets = [Fraction(k, 8) for k in range(9)]
+        weights = [
+            Fraction(w, 28350) for w in (989, 5888, -928, 10496, -4540, 10496, -928, 5888, 989)
+        ]
+        with pytest.raises(ValueError, match="exact past degree 8"):
+            _error_law(offsets, weights)
+
+    @given(us=NODE_CLASSES)
+    def test_error_power_of_symmetric_interpolatory_rules(self, us):
+        # nodes 1/2 +- u_k, weight v_k per pair: l = len(us) weights solve the
+        # even-moment conditions sum_k v_k u_k^(2i) = 2^(-2i) / (2i + 1), i < l,
+        # so the rule is exact to degree 2l - 1 and its error power is 2l + 1
+        l = len(us)
+        v = _solve_exactly(
+            [[u ** (2 * i) for u in us] for i in range(l)],
+            [Fraction(1, 4**i * (2 * i + 1)) for i in range(l)],
+        )
+        # unless degree 2l is exact too, which rational nodes hit only by accident
+        assume(sum(vk * u ** (2 * l) for vk, u in zip(v, us)) != Fraction(1, 4**l * (2 * l + 1)))
+        offsets, weights = [], []
+        for u, vk in zip(us, v):
+            pair = [Fraction(1, 2)] if u == 0 else [Fraction(1, 2) - u, Fraction(1, 2) + u]
+            offsets += pair
+            weights += [vk / len(pair)] * len(pair)
+        assert _error_law(offsets, weights)[1] == 2 * l + 1
+
+
+def _solve_exactly(a, b):
+    """The solution of the nonsingular rational system a v = b, by Gauss-Jordan elimination."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    return [row[n] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fbmquad import (
     ks_test_normal,
     summarize,
 )
-from fbmquad.stats import _ndtr
+from fbmquad.stats import _SQRT1_2, _ndtr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,26 +73,52 @@ class TestKolmogorovPValue:
         assert kolmogorov_p_value(10.0) == pytest.approx(0.0, abs=1e-12)
 
 
+# +-1, +-sqrt 2 and +-8 sqrt 2 are the branch edges of Cephes ndtr, the form
+# scipy runs; from about -37.7 on Cephes underflows to 0 while erfc stays
+# subnormal, until it too underflows before -38.5; 5e-324 is the smallest
+# subnormal argument
+_CDF_EDGES = tuple(
+    sign * x
+    for x in (0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.7, 38.5, math.inf)
+    for sign in (1.0, -1.0)
+) + (5e-324,)
+
+
+def _at_cdf_edges(test):
+    for a in reversed(_CDF_EDGES):
+        test = example(a)(test)
+    return test
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 class TestNormalCdf:
     @settings(max_examples=1000)
     @given(a=st.floats(-40.0, 40.0))
-    @example(0.0)
-    @example(-0.0)
-    @example(1.0)
-    @example(-1.0)
-    @example(math.sqrt(2.0))
-    @example(-math.sqrt(2.0))
-    @example(8.0 * math.sqrt(2.0))
-    @example(-8.0 * math.sqrt(2.0))
-    @example(37.7)
-    @example(-37.7)
-    @example(math.inf)
-    @example(-math.inf)
-    def test_bit_equal_to_scipy(self, a):
-        # +-1 is ndtr's erf/erfc switch, +-sqrt 2 erfc's x < 1 edge and
-        # +-8 sqrt 2 its x < 8 edge; past +-37.7, exp(-a^2 / 2) underflows (MAXLOG)
-        ours, theirs = np.float64(_ndtr(a)), np.float64(scipy_ndtr(a))
-        assert ours.view(np.uint64) == theirs.view(np.uint64)
+    @_at_cdf_edges
+    def test_bit_equal_to_scalar_erfc(self, a):
+        # a scalar gives a 0-d array; an array keeps its shape, every element
+        # of it evaluated on its own
+        ours = _ndtr(a)
+        assert ours.shape == ()
+        assert _bits(ours) == _bits(0.5 * math.erfc(-a * _SQRT1_2))
+        grid = np.array([[a, *_CDF_EDGES], [*_CDF_EDGES, a]])
+        expected = [[0.5 * math.erfc(-x * _SQRT1_2) for x in row] for row in grid.tolist()]
+        assert np.array_equal(_bits(_ndtr(grid)), _bits(expected))
+
+    @settings(max_examples=1000)
+    @given(a=st.floats(-40.0, 40.0))
+    @_at_cdf_edges
+    def test_close_to_scipy(self, a):
+        # x / sqrt 2 is rounded before erfc; in the lower tail the CDF's
+        # relative error grows as x^2 times that rounding
+        eps = np.finfo(np.float64).eps
+        ours, theirs = float(_ndtr(a)), float(scipy_ndtr(a))
+        assert abs(ours - theirs) <= 2.0 * eps
+        if theirs >= 1e-300:
+            assert abs(ours - theirs) <= 16.0 * eps * max(1.0, a * a) * theirs
 
     def test_nan_propagates(self):
         assert math.isnan(_ndtr(math.nan))
