@@ -119,7 +119,7 @@ _FLAG_HELP = {
     "M": "replications",
     "seed": "master seed",
     "f": "polynomial coeffs lowest degree first, or cos[:a,w[,q]]",
-    "threads": "worker pool cap (default: all cores)",
+    "threads": "worker pool cap (default: every CPU the process may run on)",
     "slope_tol": "rate-fit slope tolerance",
 }
 

@@ -2,21 +2,21 @@
 
 Three experiments, all deterministic functions of their configuration, read
 one per-replication quantity: the scheme's residual
-riemann_sum - (f(B_t) - f(0)) over the grid's floor(nt) increments.  For
-polynomial f it is exactly sum_r a_r sum_j f^(r)(mid_j) dB_j^r over r from the
-scheme's error power on, and the first term leads.
+riemann_sum - (f(B_{t_n}) - f(0)) over the floor(nt) increments up to the last
+grid level, t_n = floor(nt)/n, which is t only when nt is an integer
+(``partial_interval_second_moment`` measures the gap).  For polynomial f it is
+sum_r a_r sum_j f^(r)(mid_j) dB_j^r, r >= the error power; the first term leads.
 
 - ``run_clt_experiment``: at or below a scheme's critical Hurst exponent
-  1/(2r), the statistic n^{(2rH-1)/2} residual / a_r converges in law to an
-  independent centered Gaussian with variance
+  H_c = 1/(2r), the statistic n^{(2rH-1)/2} residual / a_r converges in law to
+  an independent centered Gaussian with variance
   beta_r^2 integral f^(r)(B_s)^2 ds; checked through its variance, a KS test,
   correlation with the terminal level, and a mean gate.
-- ``run_rate_experiment``: above the critical exponent the squared residual
-  decays like n^{1 - 2rH}; checked by a log-log slope fit.
-- ``run_divergence_probe``: below the critical exponent the raw residual
-  variance stops vanishing, and above it, as a control, it vanishes.  At the
-  critical exponent the residual is the clt's statistic, so the probe refuses
-  it.
+- ``run_rate_experiment``: above H_c the squared residual decays like
+  n^{1 - 2rH}; checked by a log-log slope fit.
+- ``run_divergence_probe``: below H_c the raw residual variance stops
+  vanishing, and above it, as a control, it vanishes.  At H_c the residual is
+  the clt's statistic, so the probe refuses it.
 
 All three run one sweep over the grids.  Replication r of the sweep's
 n_index-th grid draws from the Philox stream keyed by (master_seed,
@@ -29,23 +29,24 @@ differ on purpose: an item is a sampler block, large so that the FFT keeps
 batching its rows (halving it slowed the clt by a quarter, and below 4 rows
 the FFT stops batching), and the kernels block at 2^15 elements so that their
 buffers stay in L2 cache.  Paths are sampled by circulant embedding,
-nonnegative definite for fGn at every H.  One thread pool per run, of at most
-one worker per core, works through the items, grid after grid; with one worker
-they run in the calling thread.  Rows are independent, so neither the item
-size nor the thread count changes the output.  The sweep fills the summary
-fields every results entry shares and the per-replication columns
-(replication, seed, n, B_t, statistic); each experiment adds only its own
-fields and verdicts, and one builder assembles the report.
+nonnegative definite for fGn at every H.  One pool of at most one thread per
+CPU the process may run on works through the items, grid after grid, or the
+calling thread does; rows are independent, so neither the item size nor the
+thread count changes the output.  The sweep fills the summary fields every
+results entry shares and the per-replication columns (replication, seed, n,
+B_t, statistic), ``B_t`` holding B_{t_n} under the header the golden digests
+pin; each experiment adds its own fields and verdicts to one report builder.
 
 A run is described by one frozen ``ExperimentConfig``, which converts and
-validates its settings.  ``_sweep`` checks floor(nt) >= 2 as it builds the
-grids, and a run that would test nothing is refused: a zero f^(r) in any of
-the three, an H on another run's side of the critical exponent, or a rate fit
-or a probe with too few grids.  All of these fail before the first path.  Config
-files and CLI flags share one key vocabulary and both reach it through
-``ExperimentConfig.from_mapping``; a report echoes its config under the same
-keys.  The verdict thresholds are fixed (``THRESHOLDS``), so no config can
-loosen a verdict.
+validates its settings.  ``_leading_term`` then refuses a run that would test
+nothing, in one order for all three: a zero f^(r); H on another run's side of
+H_c, by one exact comparison with float(H_c) (``clt`` takes H <= H_c, ``rate``
+H > H_c, ``diverge`` H != H_c); too few grids.  ``_sweep`` checks
+floor(nt) >= 2 as it builds the grids, still before the first path.  Config
+files and CLI flags share one key vocabulary through
+``ExperimentConfig.from_mapping``, and a report echoes its config under the
+same keys.  The verdict thresholds are fixed (``THRESHOLDS``), so no config
+can loosen a verdict.
 """
 
 from __future__ import annotations
@@ -345,42 +346,42 @@ def exact_identity_checks() -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(config: ExperimentConfig, describe, scale_exponent=None, extra=None):
+def _sweep(config: ExperimentConfig, describe, statistic=None, extra=None):
     """Run every grid of the sweep; returns the results entries and the CSV columns.
 
     Each row of paths is reduced to the scheme's residual
-    riemann_sum - (f(B_t) - f(0)) over its floor(nT) increments, B_t its last
-    level.  That is the row's ``"statistic"``, the value summarized and
-    written to the CSV, unless ``scale_exponent`` e is given (the clt): then
-    it is n^e (residual / a_r), a_r the scheme's leading error coefficient.
+    riemann_sum - (f(B_{t_n}) - f(0)) over its floor(nT) increments, up to its
+    last level, at t_n = floor(nT)/n (B_T only when nT is an integer).  That is
+    the row's ``"statistic"``, the value summarized and written to the CSV,
+    unless statistic(grid, residual) maps it (the clt's scaling).
     extra(grid, values), if given, maps a work item's (rows, floor(nT)+1)
     matrix of paths to a dict of further per-replication arrays.  An item
     holds block_rows(m) rows for m = floor(nT) increments, one sampler block,
-    and adds the terminal levels ``b_end`` and the stream ``seed`` of its rows.
-    One pool of min(threads, cores) workers runs the items of every grid, or
-    this thread if that is 1.  Rows are independent and the items are
-    reassembled in replication order, so neither the item size nor the thread
-    count changes the output.
+    and adds the last levels ``b_end`` (the CSV's ``B_t``) and the stream
+    ``seed`` of its rows.  One pool of min(threads, CPUs the process may run
+    on) workers runs the items of every grid, or this thread if that is 1.
+    Rows are independent and the items are reassembled in replication order,
+    so neither the item size nor the thread count changes the output.
     describe(grid, data, summary) returns the fields that follow the shared n,
     count, mean, variance and variance_se of the grid's results entry; data
     holds the concatenated arrays.
     """
     grids = [HurstGrid(config.H, n, T=config.t) for n in config.n_values]
     M = config.replications
-    cores = os.cpu_count() or 1
-    threads = min(config.threads or cores, cores)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(config.threads or cpus, cpus)
 
     f, scheme = config.f, config.scheme
     f0 = float(f(0.0))
-    a_r = float(scheme.error_coefficients[scheme.error_power])
 
     def item(i: int, grid: HurstGrid, lo: int, hi: int) -> dict:
         seeds = replication_seeds(config.master_seed, i * M + lo, i * M + hi)
         values = generate_batch(grid, GeneratorKind.CIRCULANT_EMBEDDING, seeds)
         b_end = values[:, -1].copy()
         residual = riemann_sums(values, f, scheme) - (f(b_end) - f0)
-        if scale_exponent is not None:
-            residual = float(grid.n) ** scale_exponent * (residual / a_r)
+        if statistic is not None:
+            residual = statistic(grid, residual)
         out = {"statistic": residual, "b_end": b_end, "seed": seeds}
         if extra is not None:
             out.update(extra(grid, values))
@@ -440,24 +441,22 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Distributional check of the critical-case Gaussian limit, at H <= 1/(2r).
 
     With r the scheme's error power and a_r its leading error coefficient, the
-    statistic is n^{(2rH-1)/2} (riemann_sum - (f(B_t) - f(0))) / a_r, the
-    rule's own residual (the exponent is zero at the critical H = 1/(2r)).
+    statistic is n^{(2rH-1)/2} (riemann_sum - (f(B_{t_n}) - f(0))) / a_r, the
+    rule's own residual up to the last grid level, at t_n = floor(nt)/n (the
+    exponent is zero at the critical H = 1/(2r)).  That level is B_t only when
+    nt is an integer; ``partial_interval_second_moment`` measures the gap.
     With constant f^(r) = c the limit is an unconditional N(0, c^2 beta_r^2 t);
     otherwise only the variance is compared, against beta_r^2 times the Monte
-    Carlo mean of integral f^(r)(B_s)^2 ds.  H above 1/(2r), where the residual
-    vanishes (the rate experiment's case), and a zero f^(r) are refused before
-    the first path.
+    Carlo mean of integral f^(r)(B_s)^2 ds.  ``_leading_term`` refuses a zero
+    f^(r) and H above 1/(2r), where the residual vanishes (``rate``'s case).
     """
-    threshold = float(config.scheme.critical_hurst)
-    if config.H > threshold:
-        raise ValueError(
-            f"clt needs H at or below the {config.scheme.value} threshold {threshold:.6g}, "
-            f"got {config.H}; fbmquad rate tests the residual above it"
-        )
-    r, fr, c = _leading_term(config)
+    r, a_r, fr, c = _leading_term(config, "clt")
     kappas = beta_terms(config.H, r=r)
     beta_sq = beta_squared(*kappas)
     exponent = (2 * r * config.H - 1.0) / 2.0
+
+    def statistic(grid: HurstGrid, residual: np.ndarray) -> np.ndarray:
+        return float(grid.n) ** exponent * (residual / a_r)
 
     def fr_sq_integral(grid: HurstGrid, values: np.ndarray) -> dict:
         fr_sq = midpoint_power_sums(values, lambda x, out: np.square(fr(x, out), out), 0)
@@ -486,7 +485,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         }
 
     extra = fr_sq_integral if c is None else None
-    results, columns = _sweep(config, describe, scale_exponent=exponent, extra=extra)
+    results, columns = _sweep(config, describe, statistic, extra)
     last = results[-1]
     ratio_errors = [entry["variance_ratio_error"] for entry in results]
     M = config.replications
@@ -520,17 +519,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Decay-rate check E[(riemann_sum - increment of f)^2] ~ n^{1 - 2rH}; needs a nonzero f^(r)."""
-    threshold = float(config.scheme.critical_hurst)
-    if config.H <= threshold:
-        raise ValueError(
-            f"rate experiment needs H above the {config.scheme.value} threshold "
-            f"{threshold:.6g}, got {config.H}; fbmquad clt tests H at or below it"
-        )
-    r = _leading_term(config)[0]
-    if len(config.n_values) < 3:
-        raise ValueError(
-            f"rate experiment fits a slope and needs at least 3 grids, got {len(config.n_values)}"
-        )
+    r = _leading_term(config, "rate")[0]
     results, columns = _sweep(config, partial(_residual_moments, config))
     target = 1.0 - 2.0 * r * config.H
     fit = fit_loglog_slope([(e["n"], e["second_moment"]) for e in results])
@@ -541,34 +530,15 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_divergence_probe(config: ExperimentConfig) -> ExperimentReport:
-    """Raw residual variance below and, as a control, above the critical exponent.
-
-    At the critical exponent itself the probe is refused before the first path:
-    there the residual over a_r is the clt's statistic, which ``clt`` tests
-    against its limit law.
-    """
-    threshold = float(config.scheme.critical_hurst)
-    _leading_term(config)
-    if abs(config.H - threshold) <= 1e-12:
-        raise ValueError(
-            f"the divergence probe does not run at the {config.scheme.value} threshold "
-            f"{threshold:.6g}; fbmquad clt tests the residual's limit law there"
-        )
-    regime = "below-threshold" if config.H < threshold else "above-threshold"
-    if len(config.n_values) < 2:
-        raise ValueError(
-            f"the {regime} divergence probe compares grids and needs at least 2, "
-            f"got {len(config.n_values)}"
-        )
+    """Raw residual variance below and, as a control, above the critical exponent (not at it)."""
+    _leading_term(config, "diverge")
+    regime = f"{_side(config)[0]}-threshold"
     results, columns = _sweep(config, partial(_residual_moments, config))
     variances = [e["variance"] for e in results]
     ses = [e["variance_se"] for e in results]
-    if regime == "below-threshold":
-        steps_ok = all(
-            variances[i + 1] >= variances[i] - math.hypot(ses[i], ses[i + 1])
-            for i in range(len(variances) - 1)
-        )
-        verdicts = {"non_vanishing": steps_ok}
+    if regime == "below-threshold":  # no step may fall by more than its combined SE
+        steps = zip(variances, variances[1:], ses, ses[1:])
+        verdicts = {"non_vanishing": all(b >= a - math.hypot(sa, sb) for a, b, sa, sb in steps)}
     else:  # control case: the residual must vanish
         verdicts = {"vanishing": variances[0] >= THRESHOLDS["decrease_factor"] * variances[-1]}
     body = {"regime": regime, "results": results}
@@ -585,17 +555,46 @@ def _residual_moments(config: ExperimentConfig, grid: HurstGrid, data: dict, sum
     }
 
 
-def _leading_term(config: ExperimentConfig):
-    """(r, f^(r), c): the scheme's error power, f^(r), and its value c if constant, else None.
+#: Each run's sides of H_c, least number of grids, and refusals of another side and of fewer.
+_RUNS = {
+    "clt": (("below", "at"), 1, "clt needs H at or below the {scheme} threshold {H_c:.6g}, "
+            "got {H}; fbmquad rate tests the residual above it", "clt needs a grid"),
+    "rate": (("above",), 3, "rate experiment needs H above the {scheme} threshold "
+             "{H_c:.6g}, got {H}; fbmquad clt tests H at or below it",
+             "rate experiment fits a slope and needs at least 3 grids, got {grids}"),
+    "diverge": (("below", "above"), 2, "the divergence probe does not run at the {scheme} "
+                "threshold {H_c:.6g}; fbmquad clt tests the residual's limit law there",
+                "the {side}-threshold divergence probe compares grids and needs at least 2, "
+                "got {grids}"),
+}
 
-    A zero f^(r) (f integrated exactly: no error term, no limit, no rate) raises.
+
+def _side(config: ExperimentConfig) -> tuple[str, float]:
+    """("below", "at" or "above", H_c): H against H_c = 1/(2r), compared exactly as float(H_c)."""
+    H, H_c = config.H, float(config.scheme.critical_hurst)
+    return ("below" if H < H_c else "at" if H == H_c else "above"), H_c
+
+
+def _leading_term(config: ExperimentConfig, run: str):
+    """(r, a_r, f^(r), c): the scheme's error power and coefficient, f^(r), its value if constant.
+
+    First checks, in this order, that f^(r) is not zero (f integrated exactly: no error term,
+    no limit, no rate), then that H and the grid count suit ``run`` (``_RUNS``).
     """
-    r = config.scheme.error_power
-    fr = config.f.derivative(r)
+    scheme, f = config.scheme, config.f
+    r = scheme.error_power
+    fr = f.derivative(r)
     c = constant_value(fr)
     if c == 0.0:
         raise ValueError(
-            f"f^({r}) is identically zero for the {config.scheme.value} scheme "
-            f"(f = {config.f.spec()}), so its error term vanishes and there is nothing to test"
+            f"f^({r}) is identically zero for the {scheme.value} scheme "
+            f"(f = {f.spec()}), so its error term vanishes and there is nothing to test"
         )
-    return r, fr, c
+    sides, least, wrong_side, too_few = _RUNS[run]
+    side, H_c = _side(config)
+    fields = dict(scheme=scheme.value, H_c=H_c, H=config.H, side=side, grids=len(config.n_values))
+    if side not in sides:
+        raise ValueError(wrong_side.format(**fields))
+    if fields["grids"] < least:
+        raise ValueError(too_few.format(**fields))
+    return r, float(scheme.error_coefficients[r]), fr, c

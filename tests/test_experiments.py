@@ -279,6 +279,8 @@ class TestDeterminism:
         assert canonical_json(json.loads(text)) == text
 
     def test_worker_pool_capped_at_core_count(self, monkeypatch):
+        # the pool counts the CPUs the process may run on (its affinity mask),
+        # and falls back on cpu_count where the platform cannot say
         workers, real = [], experiments.ThreadPoolExecutor
 
         def recording(*, max_workers):
@@ -287,10 +289,17 @@ class TestDeterminism:
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        for threads in (64, None, 1):
-            cfg = ExperimentConfig(H=0.2, n_values=(16, 32), replications=200, threads=threads)
-            run_divergence_probe(cfg)
-        assert workers == [2, 2, 1]
+        for affinity, expected in ((None, [2, 2, 1]), ({0}, [1, 1, 1]), ({0, 1, 2}, [3, 3, 1])):
+            if affinity is None:
+                monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+            else:
+                mask = lambda pid, cpus=affinity: cpus
+                monkeypatch.setattr(experiments.os, "sched_getaffinity", mask, raising=False)
+            workers.clear()
+            for threads in (64, None, 1):
+                cfg = ExperimentConfig(H=0.2, n_values=(16, 32), replications=200, threads=threads)
+                run_divergence_probe(cfg)
+            assert workers == expected
 
     def test_replication_streams_do_not_collide(self):
         cfg = ExperimentConfig(H=0.1, n_values=(16, 32), replications=150, master_seed=11)
@@ -414,7 +423,8 @@ class TestCltExperiment:
         # above the critical exponent the residual vanishes: the rate experiment's case
         for scheme in SchemeKind:
             H = math.nextafter(float(scheme.critical_hurst), 1.0)
-            cfg = ExperimentConfig(H=H, n_values=(16,), replications=100, scheme=scheme)
+            f = _monomial(scheme.error_power)
+            cfg = ExperimentConfig(H=H, n_values=(16,), replications=100, scheme=scheme, f=f)
             with pytest.raises(ValueError, match=r"^clt needs H at or below .*fbmquad rate"):
                 run_clt_experiment(cfg)
 
@@ -588,18 +598,28 @@ class TestCltStatistic:
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_runs_split_H_at_the_critical_exponent(capsys, batch_calls, scheme):
-    # clt takes H <= H_c and rate H > H_c; diverge refuses H_c itself, where its
-    # residual is the clt's statistic, and each refusal names the run to use
+    # one exact comparison with float(H_c) splits H: clt takes H <= H_c and rate
+    # H > H_c, so exactly one of them runs at H_c and at its two float
+    # neighbours; diverge runs at both neighbours and refuses H_c itself, where
+    # its residual is the clt's statistic.  Each refusal comes before the first
+    # path and names the run to use.
     f = _monomial(scheme.error_power).spec()
     critical = float(scheme.critical_hurst)
-    for command, H, other in (
-        ("diverge", critical, "fbmquad clt"),
-        ("clt", math.nextafter(critical, 1.0), "fbmquad rate"),
+    for H, refused in (
+        (math.nextafter(critical, 0.0), {"rate": "fbmquad clt"}),
+        (critical, {"rate": "fbmquad clt", "diverge": "fbmquad clt"}),
+        (math.nextafter(critical, 1.0), {"clt": "fbmquad rate"}),
     ):
-        argv = ("--H", repr(H), "--n", "16", "--n", "32", "--M", "100", "--f", f)
-        code, out, err = run_cli(capsys, command, *argv, "--scheme", scheme.value)
-        assert (code, out, batch_calls) == (2, "", [])
-        assert other in err and "Traceback" not in err
+        argv = ("--H", repr(H), "--n", "16", "--n", "32", "--n", "64", "--M", "100", "--f", f)
+        for command in ("clt", "rate", "diverge"):
+            batch_calls.clear()
+            code, out, err = run_cli(capsys, command, *argv, "--scheme", scheme.value)
+            if command in refused:
+                assert (code, out, batch_calls) == (2, "", [])
+                assert refused[command] in err and "Traceback" not in err
+            else:
+                assert code in (0, 1) and json.loads(out)["config"]["H"] == H
+                assert batch_calls
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
